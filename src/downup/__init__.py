@@ -1,12 +1,12 @@
 """Exact symbolic computation in generalized down-up algebras realized
 as generalized Weyl algebras over the rational functions of z."""
 
-from .scalars import (ONE, ZERO, ParameterError, ParamSpec, Rational, Scalar,
-                      param_power, scalar_arith, validate_param_spec)
+from .scalars import (ONE, ZERO, ParameterError, ParamSpec, Scalar,
+                      validate_param_spec)
 from .bipoly import (BiPoly, apply_phi_power, diff_h, exact_divide_by_a,
-                     poly_arith, support_of)
+                     support_of)
 from .gwa import (GwaAlgebra, GwaElement, apply_sigma_mu, basis_word,
-                  from_poly, gwa_add, gwa_mul, gwa_scale)
+                  from_poly, gwa_mul)
 from .expressions import (ParseError, eval_element, parse_bipoly,
                           parse_element, parse_expression, parse_scalar)
 from .presentation import (ConformalWitness, DownUpPresentation,
@@ -16,11 +16,10 @@ from .presentation import (ConformalWitness, DownUpPresentation,
 from .derivations import (AlphaSpec, CTypeSpec, Derivation, DerivationError,
                           IndexSet, NonInnerWitness, apply_derivation,
                           build_alpha_derivation, build_c_derivation,
-                          c_type_admissible, check_weight0_alpha_condition,
-                          combine, coupled_alpha_spec, index_sets,
-                          index_sets_from_b, parse_derivation_spec,
-                          solve_inner, twisted_commutator,
-                          verify_alpha_compat)
+                          check_weight0_alpha_condition, combine,
+                          coupled_alpha_spec, index_sets, index_sets_from_b,
+                          parse_derivation_spec, solve_inner,
+                          twisted_commutator)
 from .oracle import FreeWord, free_expand, oracle_normalize, oracle_normalize_text
 from .suites import SuiteContext, SuiteResult, run_suites
 
@@ -30,17 +29,17 @@ __all__ = [
     "AlphaSpec", "BiPoly", "CTypeSpec", "ConformalWitness", "Derivation",
     "DerivationError", "DownUpPresentation", "FreeWord", "GwaAlgebra",
     "GwaElement", "IndexSet", "NonInnerWitness", "ONE", "ParamSpec",
-    "ParameterError", "ParseError", "Rational", "Scalar", "ZERO",
+    "ParameterError", "ParseError", "Scalar", "ZERO",
     "apply_derivation", "apply_phi_power", "apply_sigma_mu", "basis_word",
-    "build_alpha_derivation", "build_c_derivation", "c_type_admissible",
+    "build_alpha_derivation", "build_c_derivation",
     "check_weight0_alpha_condition", "combine", "conformal_residue",
     "coupled_alpha_spec", "diff_h", "eval_element", "exact_divide_by_a",
-    "free_expand", "from_poly", "gwa_add", "gwa_algebra", "gwa_mul",
-    "gwa_scale", "index_sets", "index_sets_from_b", "oracle_normalize",
-    "oracle_normalize_text", "param_power", "parse_bipoly",
+    "free_expand", "from_poly", "gwa_algebra", "gwa_mul",
+    "index_sets", "index_sets_from_b", "oracle_normalize",
+    "oracle_normalize_text", "parse_bipoly",
     "parse_derivation_spec", "parse_element", "parse_expression",
-    "parse_scalar", "poly_arith", "relation_residues", "run_suites",
-    "scalar_arith", "solve_conformal", "solve_inner", "support_of",
+    "parse_scalar", "relation_residues", "run_suites",
+    "solve_conformal", "solve_inner", "support_of",
     "SuiteContext", "SuiteResult", "translate_to_gwa", "twisted_commutator",
-    "validate_param_spec", "verify_alpha_compat", "witness_support_matches",
+    "validate_param_spec", "witness_support_matches",
 ]

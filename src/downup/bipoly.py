@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, Scalar, _as_scalar
+from .scalars import ONE, Scalar, _as_scalar, _signed_sum
 
 
 class BiPoly:
@@ -54,12 +54,6 @@ class BiPoly:
     @classmethod
     def var_k(cls, e=1):
         return cls({(0, e): ONE})
-
-    def coefficient(self, i, j):
-        return self.terms.get((i, j), Scalar(()))
-
-    def degree_h(self):
-        return max((i for i, _ in self.terms), default=-1)
 
     def degree_k(self):
         return max((j for _, j in self.terms), default=-1)
@@ -161,13 +155,8 @@ class BiPoly:
         return self._hash
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = [_term_text(key, c) for key, c in sorted(self.terms.items())]
-        text = parts[0]
-        for p in parts[1:]:
-            text += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return text
+        return _signed_sum([_term_text(key, c)
+                            for key, c in sorted(self.terms.items())])
 
     def __repr__(self):
         return "BiPoly(%s)" % self
@@ -207,17 +196,6 @@ def _term_text(key, c):
     if c.needs_parens():
         ctext = "(" + ctext + ")"
     return ctext + "*" + body
-
-
-def poly_arith(p, q, op):
-    """Ring arithmetic entry point; op is one of add, sub, mul."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError("unknown op %r" % (op,))
 
 
 def support_of(p):

@@ -18,13 +18,14 @@ from .derivations import (CTypeSpec, NonInnerWitness, apply_derivation,
                           build_alpha_derivation, build_c_derivation,
                           index_sets_from_b, parse_derivation_spec,
                           solve_inner)
-from .expressions import parse_element, parse_expression, parse_scalar
+from .expressions import parse_element, parse_scalar
 from .gwa import gwa_mul
-from .oracle import free_expand, oracle_normalize
+from .oracle import oracle_normalize_text
 from .presentation import (DownUpPresentation, conformal_residue,
                            gwa_algebra, solve_conformal, translate_to_gwa,
                            witness_support_matches)
-from .scalars import ParameterError, Scalar, validate_param_spec
+from .scalars import (ParameterError, Scalar, validate_exponents,
+                      validate_param_spec)
 from .suites import SuiteContext, run_suites
 
 
@@ -53,37 +54,30 @@ def _merged_options(args):
     return merged
 
 
-def _spec_from(options):
+def _exponents(options):
     missing = [key for key in ("d", "n1", "n2") if key not in options]
     if missing:
         raise ParameterError("missing parameters: %s" % ", ".join(missing))
-    return validate_param_spec(int(options["d"]), int(options["n1"]),
-                               int(options["n2"]))
+    return options["d"], options["n1"], options["n2"]
+
+
+def _spec_from(options):
+    return validate_param_spec(*_exponents(options))
 
 
 def _f_coefficients(options):
     if "f" not in options:
         raise ParameterError("missing f (coefficient list, e.g. --f 0,1)")
-    text = options["f"]
-    if isinstance(text, list):
-        return text
-    return [parse_scalar(part) for part in str(text).split(",")]
+    return [parse_scalar(part) for part in options["f"].split(",")]
 
 
-def _relaxed_spec_values(options):
-    # the index sets are well defined whenever b1 != 0, so this command
-    # only needs the three exponents to exist and be usable
-    missing = [key for key in ("d", "n1", "n2") if key not in options]
-    if missing:
-        raise ParameterError("missing parameters: %s" % ", ".join(missing))
-    d, n1, n2 = int(options["d"]), int(options["n1"]), int(options["n2"])
-    if d < 1:
-        raise ParameterError("d must be a positive integer")
-    if n1 == 0:
-        raise ParameterError("b1 zero")
-    if n2 == 0:
-        raise ParameterError("mu equals one")
-    return d, n1, n2
+def _presentation(options):
+    """The presentation at the requested point, and the inputs to echo."""
+    spec = _spec_from(options)
+    coeffs = _f_coefficients(options)
+    inputs = {"d": spec.d, "n1": spec.n1, "n2": spec.n2,
+              "f": ", ".join(str(c) for c in coeffs)}
+    return DownUpPresentation.from_coefficients(spec, coeffs), inputs
 
 
 def _case_note(b1, b2):
@@ -107,7 +101,9 @@ def _case_note(b1, b2):
 
 
 def cmd_indices(args, options):
-    d, n1, n2 = _relaxed_spec_values(options)
+    # the index sets are well defined whenever b1 != 0, so this command
+    # skips only the s = r^q rejection
+    d, n1, n2 = validate_exponents(*_exponents(options))
     b1, b2 = Fraction(n1, d), Fraction(n2, d)
     i_set, j_set = index_sets_from_b(b1, b2)
     result = {"I": str(i_set), "J": str(j_set)}
@@ -121,22 +117,18 @@ def cmd_indices(args, options):
            "result": result,
            "witnesses": {"b1": str(b1), "b2": str(b2)}}
     lines = ["I = %s" % result["I"], "J = %s" % result["J"]]
-    if case:
-        lines.append("case: %s" % case)
-    if "note" in result:
-        lines.append("note: no solutions")
+    lines += ["%s: %s" % (key, result[key])
+              for key in ("case", "note") if key in result]
     return doc, lines, 0
 
 
 def cmd_conformal(args, options):
-    spec = _spec_from(options)
-    coeffs = _f_coefficients(options)
-    pres = DownUpPresentation.from_coefficients(spec, coeffs)
+    pres, inputs = _presentation(options)
     witness = solve_conformal(pres)
     residue = conformal_residue(pres, witness)
     ok = not residue and witness_support_matches(pres, witness)
     doc = {"command": "conformal",
-           "inputs": _echo_inputs(spec, coeffs),
+           "inputs": inputs,
            "result": {"g": str(witness.g)},
            "witnesses": {"back_substitution": str(residue),
                          "support_matches": ok}}
@@ -144,62 +136,49 @@ def cmd_conformal(args, options):
 
 
 def cmd_mul(args, options):
-    spec = _spec_from(options)
-    coeffs = _f_coefficients(options)
-    pres = DownUpPresentation.from_coefficients(spec, coeffs)
+    pres, inputs = _presentation(options)
     algebra = gwa_algebra(pres)
     lhs = parse_element(args.lhs, algebra)
     rhs = parse_element(args.rhs, algebra)
     result = gwa_mul(algebra, lhs, rhs)
     witnesses = {}
-    oracle_view = _oracle_cross_check(algebra, "(%s)*(%s)" % (args.lhs, args.rhs))
-    if oracle_view is not None:
+    try:
+        oracle_view = oracle_normalize_text(
+            algebra, "(%s)*(%s)" % (args.lhs, args.rhs))
+    except ValueError:
+        pass    # beyond the oracle's reach: the cross-check steps aside
+    else:
         witnesses["oracle_agrees"] = oracle_view == result
     doc = {"command": "mul",
-           "inputs": dict(_echo_inputs(spec, coeffs),
-                          lhs=args.lhs, rhs=args.rhs),
+           "inputs": dict(inputs, lhs=args.lhs, rhs=args.rhs),
            "result": str(result),
            "witnesses": witnesses}
     code = 0 if witnesses.get("oracle_agrees", True) else 1
     return doc, [str(result)], code
 
 
-def _oracle_cross_check(algebra, text):
-    try:
-        tree = parse_expression(text, "gwa")
-        terms = [(c, word) for word, c in free_expand(tree).items()]
-        return oracle_normalize(algebra, terms)
-    except ValueError:
-        return None
-
-
 def cmd_translate(args, options):
-    spec = _spec_from(options)
-    coeffs = _f_coefficients(options)
-    pres = DownUpPresentation.from_coefficients(spec, coeffs)
+    pres, inputs = _presentation(options)
     result = translate_to_gwa(pres, args.expr)
     doc = {"command": "translate",
-           "inputs": dict(_echo_inputs(spec, coeffs), expr=args.expr),
+           "inputs": dict(inputs, expr=args.expr),
            "result": str(result),
            "witnesses": {"alphabet": "du"}}
     return doc, [str(result)], 0
 
 
 def cmd_derive(args, options):
-    spec = _spec_from(options)
-    coeffs = _f_coefficients(options)
-    pres = DownUpPresentation.from_coefficients(spec, coeffs)
+    pres, inputs = _presentation(options)
     algebra = gwa_algebra(pres)
     dspec = parse_derivation_spec(args.derivation)
     if isinstance(dspec, CTypeSpec):
-        deriv = build_c_derivation(spec, dspec)
+        deriv = build_c_derivation(pres.spec, dspec)
     else:
-        deriv = build_alpha_derivation(spec, algebra.g, dspec)
+        deriv = build_alpha_derivation(pres.spec, algebra.g, dspec)
     target = parse_element(args.expr, algebra)
     result = apply_derivation(algebra, deriv, target)
     doc = {"command": "derive",
-           "inputs": dict(_echo_inputs(spec, coeffs),
-                          derivation=args.derivation, expr=args.expr),
+           "inputs": dict(inputs, derivation=args.derivation, expr=args.expr),
            "result": str(result),
            "witnesses": {"weights": deriv.weights()}}
     return doc, [str(result)], 0
@@ -209,21 +188,18 @@ def cmd_inner(args, options):
     spec = _spec_from(options)
     c0 = parse_derivation_spec("c0 = %s" % args.c0)
     solved = solve_inner(spec, c0)
+    doc = {"command": "inner",
+           "inputs": {"d": spec.d, "n1": spec.n1, "n2": spec.n2,
+                      "c0": args.c0}}
     if isinstance(solved, NonInnerWitness):
         message = "non-inner at (%d, %d)" % (solved.beta, solved.gamma)
-        doc = {"command": "inner",
-               "inputs": {"d": spec.d, "n1": spec.n1, "n2": spec.n2,
-                          "c0": args.c0},
-               "result": message,
-               "witnesses": {"beta": solved.beta, "gamma": solved.gamma}}
+        doc.update(result=message,
+                   witnesses={"beta": solved.beta, "gamma": solved.gamma})
         return doc, [message], 0
     residue = c0.c0 - (solved * Scalar.z_power(spec.n2)
                        - apply_phi_power(spec, solved, 1))
-    doc = {"command": "inner",
-           "inputs": {"d": spec.d, "n1": spec.n1, "n2": spec.n2,
-                      "c0": args.c0},
-           "result": str(solved),
-           "witnesses": {"back_substitution": str(residue)}}
+    doc.update(result=str(solved),
+               witnesses={"back_substitution": str(residue)})
     return doc, ["p = %s" % solved], 0 if not residue else 1
 
 
@@ -258,11 +234,6 @@ def cmd_verify(args, options):
              for r in results]
     lines.append("all checks passed" if all_ok else "FAILURES present")
     return doc, lines, 0 if all_ok else 1
-
-
-def _echo_inputs(spec, coeffs):
-    return {"d": spec.d, "n1": spec.n1, "n2": spec.n2,
-            "f": ", ".join(str(c) for c in coeffs)}
 
 
 def build_parser():
@@ -326,7 +297,7 @@ def main(argv=None):
     try:
         options = _merged_options(args)
         doc, lines, code = _COMMANDS[args.command](args, options)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if options.get("format") == "structured":

@@ -36,10 +36,10 @@ class DerivationError(ValueError):
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Admissible exponents: a finite list, or a residue class with a
-    threshold, or nothing."""
+    """Admissible exponents: a finite list (possibly empty), or a residue
+    class with a threshold."""
 
-    kind: str                       # "finite" | "progression" | "empty"
+    kind: str                       # "finite" | "progression"
     elements: tuple = ()
     offset: int = 0
     modulus: int = 1
@@ -48,43 +48,31 @@ class IndexSet:
     @classmethod
     def finite(cls, elements):
         elements = tuple(sorted(set(elements)))
-        if not elements:
-            return cls("empty")
         return cls("finite", elements)
 
     @classmethod
     def progression(cls, offset, modulus, threshold):
         return cls("progression", (), offset % modulus, modulus, threshold)
 
-    @classmethod
-    def empty(cls):
-        return cls("empty")
-
     def __contains__(self, t):
         if t < 0:
             return False
         if self.kind == "finite":
             return t in self.elements
-        if self.kind == "progression":
-            return t >= self.threshold and t % self.modulus == self.offset
-        return False
+        return t >= self.threshold and t % self.modulus == self.offset
 
     def members_up_to(self, bound):
         if self.kind == "finite":
             return [t for t in self.elements if t <= bound]
-        if self.kind == "empty":
-            return []
         start = self.threshold + ((self.offset - self.threshold) % self.modulus)
         return list(range(start, bound + 1, self.modulus))
 
     def is_empty(self):
-        return self.kind == "empty"
+        return self.kind == "finite" and not self.elements
 
     def __str__(self):
         if self.kind == "finite":
             return "{%s}" % ", ".join(str(t) for t in self.elements)
-        if self.kind == "empty":
-            return "{}"
         if self.modulus == 1:
             if self.threshold == 0:
                 return "N"
@@ -94,29 +82,26 @@ class IndexSet:
 
 
 def _solve_membership(b1, c):
-    """{t in N : c - t*b1 is a natural number} for rational b1 != 0, c."""
-    if b1 > 0:
-        bound = int(c / b1) if c >= 0 else -1
-        hits = [t for t in range(bound + 1)
-                if (c - t * b1).denominator == 1 and c - t * b1 >= 0]
-        return IndexSet.finite(hits)
-    # b1 < 0: nonnegativity holds for all large t, so membership is a
-    # congruence  t*A = C (mod L)  on the common denominator lattice
+    """{t in N : c - t*b1 is a natural number} for rational b1 != 0, c.
+
+    Integrality is the congruence  t*A = C (mod L)  on the common
+    denominator lattice; nonnegativity then bounds t above when b1 > 0
+    (a finite set) and below when b1 < 0 (a progression).
+    """
     lcm = math.lcm(b1.denominator, c.denominator)
     a_coef = int(b1 * lcm)
     c_coef = int(c * lcm)
     g = math.gcd(a_coef, lcm)
     if c_coef % g:
-        return IndexSet.empty()
+        return IndexSet.finite(())
     modulus = lcm // g
-    if modulus == 1:
-        offset = 0
-    else:
-        inv = pow((a_coef // g) % modulus, -1, modulus)
-        offset = ((c_coef // g) * inv) % modulus
+    inv = pow((a_coef // g) % modulus, -1, modulus)
+    offset = ((c_coef // g) * inv) % modulus
+    if b1 > 0:
+        # largest t with c - t*b1 >= 0, i.e. t <= c/b1
+        return IndexSet.finite(range(offset, math.floor(c / b1) + 1, modulus))
     # smallest t with c - t*b1 >= 0, i.e. t >= c/b1
-    low = c / b1
-    t0 = max(0, math.ceil(low))
+    t0 = max(0, math.ceil(c / b1))
     threshold = t0 + ((offset - t0) % modulus)
     return IndexSet.progression(offset, modulus, threshold)
 
@@ -171,10 +156,6 @@ class Derivation:
         self.spec = spec
         self.terms = tuple((c, act) for c, act in terms if c)
 
-    @property
-    def coarseness(self):
-        return Scalar.z_power(-self.spec.n2)
-
     def weights(self):
         return sorted({act.weight for _, act in self.terms})
 
@@ -184,24 +165,16 @@ class Derivation:
 
 
 class _CTypeAction:
-    weight = 0
+    weight = 0      # off weight 0, commuting with phi^w forces such maps to 0
 
     def __init__(self, spec, c0):
-        self.spec = spec
-        self.c0 = c0
         mu = Scalar.z_power(-spec.n2)
         self.dx = GwaElement({1: c0})
         self.dy = GwaElement({-1: apply_phi_power(spec, c0, -1) * (-mu)})
         self.word_memo = {}
 
-    def on_poly(self, algebra, p):
+    def on_poly(self, p):
         return GwaElement()
-
-    def on_x(self, algebra):
-        return self.dx
-
-    def on_y(self, algebra):
-        return self.dy
 
 
 def _qnum(exp, w, n):
@@ -245,20 +218,8 @@ class _AlphaAction:
                 out = out + self.alpha_k * BiPoly.monomial(a, c - 1, scale)
         return out
 
-    def on_poly(self, algebra, p):
+    def on_poly(self, p):
         return GwaElement({self.weight: self.on_base(p)})
-
-    def on_x(self, algebra):
-        return self.dx
-
-    def on_y(self, algebra):
-        return self.dy
-
-
-def c_type_admissible(spec, w):
-    """Weight-w maps that kill the polynomial part are derivations only
-    in weight zero (elsewhere the commutation with phi^w forces 0)."""
-    return w == 0
 
 
 def build_c_derivation(spec, cspec):
@@ -266,55 +227,36 @@ def build_c_derivation(spec, cspec):
 
 
 def _alpha_exponent(spec, which, t):
-    # k-exponent paired with h^t on the h side / k side value
+    # k-exponent paired with h^t on the h side / k side value; None
+    # exactly when t is outside that side's index set
     if which == "h":
         num = spec.n2 + (1 - t) * spec.n1
     else:
         num = spec.n2 - t * spec.n1 + spec.d
-    if num < 0 or num % spec.d:
+    if t < 0 or num < 0 or num % spec.d:
         return None
     return num // spec.d
 
 
 def _alpha_value_polys(spec, aspec):
-    alpha_h = {}
-    for i, c in aspec.coeffs_h.items():
-        c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
-        if not c:
-            continue
-        j = _alpha_exponent(spec, "h", i)
-        if j is None:
-            raise DerivationError(
-                "support violation: i=%d is not in the h index set" % i)
-        alpha_h[(i, j)] = c
-    alpha_k = {}
-    for m, c in aspec.coeffs_k.items():
-        c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
-        if not c:
-            continue
-        n = _alpha_exponent(spec, "k", m)
-        if n is None:
-            raise DerivationError(
-                "support violation: m=%d is not in the k index set" % m)
-        alpha_k[(m, n)] = c
-    return BiPoly(alpha_h), BiPoly(alpha_k)
-
-
-def verify_alpha_compat(spec, aspec):
-    """Exact check that the tabulated values commute with phi as the
-    coarseness demands: r*alpha(h) = mu*phi(alpha(h)) and likewise for k.
-
-    Keys outside the index sets cannot carry a natural k-exponent, so a
-    forcibly injected bad key reports False.
-    """
-    try:
-        alpha_h, alpha_k = _alpha_value_polys(spec, aspec)
-    except DerivationError:
-        return False
-    mu = Scalar.z_power(-spec.n2)
-    ok_h = alpha_h * Scalar.z_power(spec.n1) == apply_phi_power(spec, alpha_h, 1) * mu
-    ok_k = alpha_k * Scalar.z_power(spec.d) == apply_phi_power(spec, alpha_k, 1) * mu
-    return ok_h and ok_k
+    # the natural k-exponents make each value commute with phi as the
+    # coarseness demands, e.g. r*alpha(h) = mu*phi(alpha(h))
+    polys = []
+    for which, name, coeffs in (("h", "i", aspec.coeffs_h),
+                                ("k", "m", aspec.coeffs_k)):
+        terms = {}
+        for t, c in coeffs.items():
+            c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
+            if not c:
+                continue
+            e = _alpha_exponent(spec, which, t)
+            if e is None:
+                raise DerivationError(
+                    "support violation: %s=%d is not in the %s index set"
+                    % (name, t, which))
+            terms[(t, e)] = c
+        polys.append(BiPoly(terms))
+    return polys
 
 
 def build_alpha_derivation(spec, g, aspec):
@@ -331,15 +273,6 @@ def build_alpha_derivation(spec, g, aspec):
     w = int(aspec.w)
     if w == 0:
         raise DerivationError("alpha weight must be nonzero")
-    sets = index_sets(spec)
-    for i in aspec.coeffs_h:
-        if aspec.coeffs_h[i] and i not in sets[0]:
-            raise DerivationError(
-                "support violation: i=%d is not in the h index set" % i)
-    for m in aspec.coeffs_k:
-        if aspec.coeffs_k[m] and m not in sets[1]:
-            raise DerivationError(
-                "support violation: m=%d is not in the k index set" % m)
     alpha_h, alpha_k = _alpha_value_polys(spec, aspec)
     lhs = BiPoly.var_k() * alpha_h * (Scalar.z_power(spec.d * w) - ONE)
     rhs = BiPoly.var_h() * alpha_k * (Scalar.z_power(spec.n1 * w) - ONE)
@@ -380,11 +313,6 @@ def coupled_alpha_spec(spec, w, h_coeffs):
 # ---------------------------------------------------------------------------
 # application
 
-def _sigma_word(algebra, w):
-    # sigma_mu(v_w) = mu^{-w} v_w
-    return GwaElement({w: BiPoly.const(Scalar.z_power(algebra.spec.n2 * w))})
-
-
 def _word_derivative(algebra, action, w):
     """D(v_w), peeling one generator from the left each step."""
     if w == 0:
@@ -393,12 +321,12 @@ def _word_derivative(algebra, action, w):
     if w in memo:
         return memo[w]
     step = 1 if w > 0 else -1
-    gen_d = action.on_x(algebra) if step == 1 else action.on_y(algebra)
+    gen_d = action.dx if step == 1 else action.dy
     rest = w - step
     if rest == 0:
         value = gen_d
     else:
-        value = gwa_mul(algebra, gen_d, _sigma_word(algebra, rest)) \
+        value = gwa_mul(algebra, gen_d, apply_sigma_mu(algebra, basis_word(rest))) \
             + gwa_mul(algebra, basis_word(step), _word_derivative(algebra, action, rest))
     memo[w] = value
     return value
@@ -416,9 +344,10 @@ def apply_derivation(algebra, deriv, u):
                 "derivation was built over a different conformal polynomial")
         part = GwaElement()
         for w, p in u.components.items():
-            dp = action.on_poly(algebra, p)
+            dp = action.on_poly(p)
             if dp:
-                part = part + gwa_mul(algebra, dp, _sigma_word(algebra, w))
+                part = part + gwa_mul(algebra, dp,
+                                      apply_sigma_mu(algebra, basis_word(w)))
             dword = _word_derivative(algebra, action, w)
             if dword:
                 part = part + gwa_mul(algebra, from_poly(p), dword)

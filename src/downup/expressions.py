@@ -14,10 +14,8 @@ elements.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .bipoly import BiPoly
-from .gwa import GwaElement, basis_word, from_poly, gwa_mul
+from .gwa import basis_word, from_poly, gwa_mul
 from .scalars import Scalar
 
 
@@ -36,10 +34,9 @@ _ALPHABETS = {
 
 
 def _alphabet(name):
-    key = name.split("-")[0] if isinstance(name, str) else name
-    if key not in _ALPHABETS:
+    if name not in _ALPHABETS:
         raise ValueError("unknown alphabet %r" % (name,))
-    return key, _ALPHABETS[key]
+    return _ALPHABETS[name]
 
 
 def _tokenize(text):
@@ -76,7 +73,8 @@ def _tokenize(text):
 class _Parser:
     def __init__(self, text, alphabet):
         self.text = text
-        self.key, self.gens = _alphabet(alphabet)
+        self.alphabet = alphabet
+        self.gens = _alphabet(alphabet)
         self.toks = _tokenize(text)
         self.pos = 0
 
@@ -135,7 +133,7 @@ class _Parser:
                 node = ("gen", value, pos)
             elif len(value) == 1:
                 raise ParseError(
-                    "%s not in alphabet %s" % (value, self.key), pos)
+                    "%s not in alphabet %s" % (value, self.alphabet), pos)
             else:
                 raise ParseError("unknown name %r" % value, pos)
             if self.peek()[0] == "^":
@@ -181,11 +179,10 @@ def _eval(node, leaf, one, mul, add, neg, div):
 
 def eval_scalar(node):
     def leaf(n):
+        # the scalar alphabet has no generators, so a leaf is int or z
         if n[0] == "int":
             return Scalar.from_rational(n[1])
-        if n[0] == "z":
-            return Scalar.z_power(1)
-        raise ParseError("generators are not scalars", n[2])
+        return Scalar.z_power(1)
 
     return _eval(node, leaf, lambda: Scalar.from_rational(1),
                  lambda a, b: a * b, lambda a, b: a + b,
@@ -228,8 +225,8 @@ _GEN_WORDS = {
 
 
 def eval_element(node, algebra, alphabet="gwa"):
-    key, _ = _alphabet(alphabet)
-    words = _GEN_WORDS[key]
+    _alphabet(alphabet)
+    words = _GEN_WORDS[alphabet]
 
     def leaf(n):
         if n[0] == "int":

@@ -14,7 +14,7 @@ chain of the two defining rewrites.
 from __future__ import annotations
 
 from .bipoly import BiPoly, apply_phi_power, _as_bipoly
-from .scalars import Scalar, _as_scalar
+from .scalars import Scalar, _as_scalar, _signed_sum
 
 
 class GwaElement:
@@ -37,9 +37,6 @@ class GwaElement:
 
     def weights(self):
         return sorted(self.components)
-
-    def component(self, w):
-        return self.components.get(w, BiPoly())
 
     def is_poly(self):
         return set(self.components) <= {0}
@@ -106,8 +103,6 @@ class GwaElement:
         return self._hash
 
     def __str__(self):
-        if not self.components:
-            return "0"
         parts = []
         for w in self.weights():
             p = self.components[w]
@@ -125,10 +120,7 @@ class GwaElement:
                 parts.append("-" + word)
             else:
                 parts.append(ptext + "*" + word)
-        text = parts[0]
-        for part in parts[1:]:
-            text += (" - " + part[1:]) if part.startswith("-") else (" + " + part)
-        return text
+        return _signed_sum(parts)
 
     def __repr__(self):
         return "GwaElement(%s)" % self
@@ -177,18 +169,6 @@ class GwaAlgebra:
     def y(self):
         return basis_word(-1)
 
-    def h(self):
-        return from_poly(BiPoly.var_h())
-
-    def k(self):
-        return from_poly(BiPoly.var_k())
-
-    def one(self):
-        return basis_word(0)
-
-    def mul(self, u, v):
-        return gwa_mul(self, u, v)
-
     def __eq__(self, other):
         if not isinstance(other, GwaAlgebra):
             return NotImplemented
@@ -210,14 +190,6 @@ def basis_word(w):
 def from_poly(p):
     """Embed a polynomial as the weight-zero component."""
     return _raw({0: p}) if p else GwaElement()
-
-
-def gwa_add(u, v):
-    return u + v
-
-
-def gwa_scale(c, u):
-    return u * c
 
 
 def _word_product(A, m, n):

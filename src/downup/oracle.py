@@ -24,6 +24,9 @@ class FreeWord:
 
 _LETTERS = ("x", "y", "h", "k")
 
+# longest free word accepted; keeps every rewrite run finite and small
+MAX_LENGTH = 8
+
 
 def _is_redex(a, b):
     if a == "x":
@@ -61,11 +64,11 @@ def _rewrite(algebra, coeff, letters, t):
     return out
 
 
-def oracle_normalize(algebra, terms, strategy="leftmost", max_length=8):
+def oracle_normalize(algebra, terms, strategy="leftmost"):
     """Rewrite a combination of free words to a GwaElement.
 
     Accepts FreeWord instances or (coeff, letters) pairs.  Words longer
-    than max_length are refused up front, keeping runs finite and small.
+    than MAX_LENGTH are refused up front.
     """
     stack = []
     for term in terms:
@@ -78,7 +81,7 @@ def oracle_normalize(algebra, terms, strategy="leftmost", max_length=8):
         for ch in letters:
             if ch not in _LETTERS:
                 raise ValueError("unknown letter %r" % (ch,))
-        if len(letters) > max_length:
+        if len(letters) > MAX_LENGTH:
             raise ValueError("length bound exceeded")
         if coeff:
             stack.append((coeff, letters))
@@ -170,10 +173,10 @@ def _free_mul(a, b):
     return out
 
 
-def oracle_normalize_text(algebra, text, strategy="leftmost", max_length=8):
+def oracle_normalize_text(algebra, text, strategy="leftmost"):
     """Parse, expand freely, then rewrite to normal form."""
     from .expressions import parse_expression
 
     tree = parse_expression(text, "gwa")
     terms = [(c, word) for word, c in free_expand(tree).items()]
-    return oracle_normalize(algebra, terms, strategy, max_length)
+    return oracle_normalize(algebra, terms, strategy)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bipoly import BiPoly, apply_phi_power, support_of
-from .expressions import eval_element, parse_expression
+from .expressions import parse_element
 from .gwa import GwaAlgebra, basis_word, from_poly, gwa_mul
 from .scalars import ParameterError, Scalar
 
@@ -25,8 +25,6 @@ class DownUpPresentation:
     def __post_init__(self):
         if not self.f.is_h_only():
             raise ValueError("f must depend on h only")
-        if self.spec.gamma != 0:
-            raise ParameterError("gamma nonzero unsupported")
 
     @classmethod
     def from_coefficients(cls, spec, coeffs):
@@ -67,11 +65,9 @@ def gwa_algebra(pres):
     return GwaAlgebra(pres.spec, solve_conformal(pres).g)
 
 
-def translate_to_gwa(pres, expr):
+def translate_to_gwa(pres, text):
     """Normal form of a d, u, h expression: d -> x, u -> y, h -> h."""
-    if isinstance(expr, str):
-        expr = parse_expression(expr, "du")
-    return eval_element(expr, gwa_algebra(pres), "du")
+    return parse_element(text, gwa_algebra(pres), "du")
 
 
 def relation_residues(pres):

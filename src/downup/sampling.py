@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from .bipoly import BiPoly
-from .derivations import (AlphaSpec, CTypeSpec, build_alpha_derivation,
+from .derivations import (CTypeSpec, build_alpha_derivation,
                           build_c_derivation, combine, coupled_alpha_spec,
                           index_sets)
 from .gwa import GwaElement

@@ -11,11 +11,8 @@ reduce to integer arithmetic on exponents.  No floating point anywhere.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-Rational = Fraction
 
 
 class ParameterError(ValueError):
@@ -92,10 +89,18 @@ def _pgcd(a, b):
 _P_ONE = (Fraction(1),)
 
 
+def _signed_sum(parts):
+    # join printed terms, folding a leading minus into " - "; no terms is 0
+    if not parts:
+        return "0"
+    text = parts[0]
+    for p in parts[1:]:
+        text += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
+    return text
+
+
 def _poly_text(cs):
     # descending powers, omitted unit coefficients: "2*z^3 - z + 1"
-    if not cs:
-        return "0"
     parts = []
     for e in range(len(cs) - 1, -1, -1):
         c = cs[e]
@@ -113,10 +118,7 @@ def _poly_text(cs):
             else:
                 body = "%s*%s" % (c, var)
         parts.append(body)
-    text = parts[0]
-    for p in parts[1:]:
-        text += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-    return text
+    return _signed_sum(parts)
 
 
 def _nterms(cs):
@@ -291,17 +293,6 @@ def _as_scalar(x):
     return None
 
 
-def scalar_arith(a, b, op):
-    """Field arithmetic entry point; op is one of add, sub, mul, div."""
-    table = {"add": operator.add, "sub": operator.sub,
-             "mul": operator.mul, "div": operator.truediv}
-    try:
-        fn = table[op]
-    except KeyError:
-        raise ValueError("unknown op %r" % (op,)) from None
-    return fn(a, b)
-
-
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -310,14 +301,12 @@ class ParamSpec:
     """Exponent data (d, n1, n2) pinning r = z^n1, s = z^d, mu^{-1} = z^n2.
 
     The exponent vector b = (n1/d, n2/d) records how the two structure
-    constants and the coarseness sit on the common lattice.  gamma is
-    carried for interface completeness and must be zero.
+    constants and the coarseness sit on the common lattice.
     """
 
     d: int
     n1: int
     n2: int
-    gamma: Fraction = Fraction(0)
 
     @property
     def b1(self):
@@ -344,33 +333,28 @@ class ParamSpec:
         return Scalar.z_power(-self.n2)
 
 
-def validate_param_spec(d, n1, n2, gamma=0):
-    """Check the standing assumptions and return the ParamSpec.
-
-    Rejections name the violated assumption: s must not be a positive
-    power of r (b1 not a reciprocal of a positive integer), mu must not
-    be 1, b1 must not vanish, and the quadratic correction gamma is
-    outside this model.
-    """
+def validate_exponents(d, n1, n2):
+    """Check d >= 1, b1 != 0 and mu != 1, all that the index sets need,
+    and return the three exponents as integers."""
     d, n1, n2 = int(d), int(n1), int(n2)
-    gamma = Fraction(gamma)
     if d < 1:
         raise ParameterError("d must be a positive integer")
     if n1 == 0:
         raise ParameterError("b1 zero")
     if n2 == 0:
         raise ParameterError("mu equals one")
+    return d, n1, n2
+
+
+def validate_param_spec(d, n1, n2):
+    """Check the standing assumptions and return the ParamSpec.
+
+    Rejections name the violated assumption: s must not be a positive
+    power of r (b1 not a reciprocal of a positive integer), mu must not
+    be 1, and b1 must not vanish.
+    """
+    d, n1, n2 = validate_exponents(d, n1, n2)
     if n1 > 0 and d % n1 == 0:
         raise ParameterError(
             "b1 is a reciprocal integer (s = r^%d)" % (d // n1))
-    if gamma != 0:
-        raise ParameterError("gamma nonzero unsupported")
-    return ParamSpec(d, n1, n2, gamma)
-
-
-def param_power(spec, which, e):
-    """The scalar which^e for which in {r, s, mu_inv}: a single power of z."""
-    exps = {"r": spec.n1, "s": spec.d, "mu_inv": spec.n2}
-    if which not in exps:
-        raise ValueError("unknown parameter %r" % (which,))
-    return Scalar.z_power(exps[which] * int(e))
+    return ParamSpec(d, n1, n2)

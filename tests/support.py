@@ -1,9 +1,10 @@
 """Shared helpers: independent oracles the tests check the library against."""
 
-from fractions import Fraction
-
-from downup import (BiPoly, DownUpPresentation, Scalar, apply_derivation,
-                    apply_sigma_mu, gwa_algebra, gwa_mul, validate_param_spec)
+from downup import (BiPoly, DownUpPresentation, Scalar, gwa_algebra,
+                    validate_param_spec)
+# the brute-force index enumerator and the Leibniz identity live with the
+# verify suites; the tests use the same two checks
+from downup.suites import enumerate_indices, leibniz_holds
 
 ZERO = Scalar(())
 ONE = Scalar.from_rational(1)
@@ -17,29 +18,6 @@ def std_algebra(spec=None, f_coeffs=(0, 1)):
     spec = spec or std_spec()
     pres = DownUpPresentation.from_coefficients(spec, list(f_coeffs))
     return gwa_algebra(pres)
-
-
-def leibniz_holds(algebra, deriv, u, v):
-    lhs = apply_derivation(algebra, deriv, gwa_mul(algebra, u, v))
-    rhs = gwa_mul(algebra, apply_derivation(algebra, deriv, u),
-                  apply_sigma_mu(algebra, v)) \
-        + gwa_mul(algebra, u, apply_derivation(algebra, deriv, v))
-    return lhs == rhs
-
-
-def enumerate_indices(b1, b2, bound=1000):
-    """Brute-force membership from the defining conditions, by rational
-    arithmetic only: I from b2 + (1-t)b1, J from b2 - t*b1 + 1."""
-    b1, b2 = Fraction(b1), Fraction(b2)
-    i_hits, j_hits = [], []
-    for t in range(bound + 1):
-        vi = b2 + (1 - t) * b1
-        if vi.denominator == 1 and vi >= 0:
-            i_hits.append(t)
-        vj = b2 - t * b1 + 1
-        if vj.denominator == 1 and vj >= 0:
-            j_hits.append(t)
-    return i_hits, j_hits
 
 
 def gaussian_solvable(columns, rhs):

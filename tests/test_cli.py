@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +60,16 @@ def test_indices_structured(capsys):
     assert doc["result"]["I"] == "{0, 2}"
     assert doc["result"]["J"] == "{1}"
     assert doc["witnesses"] == {"b1": "3/2", "b2": "3/2"}
+
+
+def test_indices_huge_exponents(capsys):
+    # membership is solved in closed form, so the cost does not grow with
+    # the slope's reciprocal
+    code, out, err = run(capsys, "--d", "1000000000", "--n1", "1",
+                         "--n2", "1000000000", "indices")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["I = {1, 1000000001}",
+                                "J = {0, 1000000000, 2000000000}"]
 
 
 def test_conformal_command(capsys):
@@ -210,6 +222,17 @@ def test_error_reporting(capsys):
     assert code == 2 and "unknown suite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--f", "0,1", "mul", "x/0", "y"],
+    ["--f", "1/0", "conformal"],
+    ["--f", "0,1", "derive", "--derivation", "w = 1; alpha_h = {1: 1/0}", "h"],
+], ids=["mul", "conformal", "derive"])
+def test_zero_divisor_exits_2(capsys, argv):
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: zero divisor\n"
+
+
 def test_missing_f_is_reported(capsys):
     code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
                          "mul", "x", "y")
@@ -224,3 +247,36 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "I = {0, 1}" in proc.stdout
+
+
+def readme_examples():
+    """Every `$ downup ...` command in README.md that shows its output,
+    with backslash continuations joined, paired with that output."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    examples, command, output = [], None, []
+    for line in lines + [""]:
+        if command is not None and command.endswith("\\"):
+            command = command[:-1] + line.strip()
+            continue
+        if (line.startswith("$ downup ") or not line.strip()
+                or line.startswith("```")):
+            if command is not None and output:
+                examples.append((shlex.split(command)[1:],
+                                 "\n".join(output) + "\n"))
+            command, output = None, []
+            if line.startswith("$ downup "):
+                command = line[2:]
+        elif command is not None:
+            output.append(line)
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize("argv, expected", README_EXAMPLES,
+                         ids=[shlex.join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")

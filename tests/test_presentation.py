@@ -101,11 +101,6 @@ def test_relation_residues_vanish():
             assert value == GwaElement.zero(), name
 
 
-def test_gamma_must_vanish():
-    with pytest.raises(ParameterError, match="gamma"):
-        DownUpPresentation(ParamSpec(d=1, n1=3, n2=2, gamma=1), H)
-
-
 def test_algebra_is_cached():
     pres = pres_for([0, 1])
     assert gwa_algebra(pres) is gwa_algebra(pres)

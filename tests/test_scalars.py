@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from downup import (ParameterError, ParamSpec, Scalar, param_power,
-                    parse_scalar, scalar_arith, validate_param_spec)
+from downup import (ParameterError, ParamSpec, Scalar, parse_scalar,
+                    validate_param_spec)
 from downup.sampling import random_scalar, rng_for
 
 Z = Scalar.z_power(1)
@@ -31,17 +31,6 @@ def test_product_of_inverses():
 def test_zero_divisor_message():
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
         ONE / Scalar(())
-    with pytest.raises(ZeroDivisionError, match="zero divisor"):
-        scalar_arith(Z, Scalar(()), "div")
-
-
-def test_scalar_arith_dispatch():
-    assert scalar_arith(Z, Z, "add") == Z * 2
-    assert scalar_arith(Z, Z, "sub") == Scalar(())
-    assert scalar_arith(Z, Z, "mul") == Z ** 2
-    assert scalar_arith(Z ** 2, Z, "div") == Z
-    with pytest.raises(ValueError):
-        scalar_arith(Z, Z, "pow")
 
 
 def test_canonical_form_is_hashable_equality():
@@ -58,20 +47,11 @@ def test_denominator_kept_monic():
     assert s.num == (Fraction(1, 2),)
 
 
-def test_param_power_examples():
-    spec = validate_param_spec(1, 2, 3)
-    assert param_power(spec, "r", 2) == Scalar.z_power(4)
-    assert param_power(spec, "s", -1) == Scalar.z_power(-1)
-    assert param_power(spec, "mu_inv", 1) == Scalar.z_power(3)
-    with pytest.raises(ValueError):
-        param_power(spec, "mu", 1)
-
-
 def test_monomial_equality_is_exponent_equality():
     spec = validate_param_spec(2, 3, 5)
     for i in range(-4, 5):
         for j in range(-4, 5):
-            same = param_power(spec, "s", i) == param_power(spec, "r", j)
+            same = spec.s ** i == spec.r ** j
             assert same == (spec.d * i == spec.n1 * j)
 
 
@@ -89,8 +69,6 @@ def test_validate_rejects_degenerate_parameters():
         validate_param_spec(1, 2, 0)
     with pytest.raises(ParameterError, match="b1 zero"):
         validate_param_spec(1, 0, 2)
-    with pytest.raises(ParameterError, match="gamma nonzero"):
-        validate_param_spec(1, 2, 3, gamma=1)
     with pytest.raises(ParameterError, match="positive"):
         validate_param_spec(0, 2, 3)
 
@@ -109,7 +87,7 @@ def test_no_accepted_spec_has_s_a_power_of_r():
             except ParameterError:
                 continue
             for q in range(1, 65):
-                assert param_power(spec, "s", 1) != param_power(spec, "r", q)
+                assert spec.s != Scalar.z_power(spec.n1 * q)
 
 
 def test_field_axioms_random():
