@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, Scalar, _as_scalar, _signed_sum
+from .scalars import ONE, Scalar, _accumulate, _as_scalar, _signed_sum
 
 
 class BiPoly:
@@ -22,12 +22,7 @@ class BiPoly:
                 if i < 0 or j < 0:
                     raise ValueError("negative exponent (%d, %d)" % (i, j))
                 c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
-                if (i, j) in clean:
-                    c = clean[(i, j)] + c
-                if c:
-                    clean[(i, j)] = c
-                elif (i, j) in clean:
-                    del clean[(i, j)]
+                _accumulate(clean, (i, j), c)
         self.terms = clean
         self._hash = None
 
@@ -77,12 +72,7 @@ class BiPoly:
             return NotImplemented
         out = dict(self.terms)
         for key, c in o.terms.items():
-            v = out.get(key)
-            v = c if v is None else v + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+            _accumulate(out, key, c)
         return _raw(out)
 
     __radd__ = __add__
@@ -107,14 +97,7 @@ class BiPoly:
             out = {}
             for (i1, j1), c1 in self.terms.items():
                 for (i2, j2), c2 in other.terms.items():
-                    key = (i1 + i2, j1 + j2)
-                    c = c1 * c2
-                    v = out.get(key)
-                    v = c if v is None else v + c
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
+                    _accumulate(out, (i1 + i2, j1 + j2), c1 * c2)
             return _raw(out)
         c = _as_scalar(other)
         if c is None:

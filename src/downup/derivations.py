@@ -34,6 +34,11 @@ class DerivationError(ValueError):
 # ---------------------------------------------------------------------------
 # index sets
 
+# most members a finite index set may list; a larger set would be built
+# and printed element by element
+MAX_INDEX_SET = 100_000
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """Admissible exponents: a finite list (possibly empty), or a residue
@@ -99,7 +104,11 @@ def _solve_membership(b1, c):
     offset = ((c_coef // g) * inv) % modulus
     if b1 > 0:
         # largest t with c - t*b1 >= 0, i.e. t <= c/b1
-        return IndexSet.finite(range(offset, math.floor(c / b1) + 1, modulus))
+        members = range(offset, math.floor(c / b1) + 1, modulus)
+        if len(members) > MAX_INDEX_SET:
+            raise DerivationError("index set has %d members, more than %d"
+                                  % (len(members), MAX_INDEX_SET))
+        return IndexSet.finite(members)
     # smallest t with c - t*b1 >= 0, i.e. t >= c/b1
     t0 = max(0, math.ceil(c / b1))
     threshold = t0 + ((offset - t0) % modulus)
@@ -147,34 +156,23 @@ class NonInnerWitness:
 
 
 class Derivation:
-    """A twisted derivation, stored as scalar combinations of elementary
-    actions sharing one parameter point (hence one coarseness mu)."""
+    """A twisted derivation over one parameter point, stored as its values
+    dx, dy, dh, dk on the generators x, y, h, k; the twisted Leibniz rule
+    extends them to every element.  g is the conformal polynomial the
+    values were built over, None when they do not depend on it."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec", "g", "_weights", "dx", "dy", "dh", "dk", "word_memo")
 
-    def __init__(self, spec, terms):
+    def __init__(self, spec, g, weights, dx, dy, dh, dk):
         self.spec = spec
-        self.terms = tuple((c, act) for c, act in terms if c)
+        self.g = g
+        self._weights = sorted(set(weights))
+        self.dx, self.dy, self.dh, self.dk = dx, dy, dh, dk
+        # D(v_w) by word weight, filled outward from D(v_0) = 0
+        self.word_memo = {0: GwaElement(), 1: dx, -1: dy}
 
     def weights(self):
-        return sorted({act.weight for _, act in self.terms})
-
-    def __repr__(self):
-        kinds = ",".join(type(act).__name__.strip("_") for _, act in self.terms)
-        return "Derivation(%s)" % (kinds or "zero")
-
-
-class _CTypeAction:
-    weight = 0      # off weight 0, commuting with phi^w forces such maps to 0
-
-    def __init__(self, spec, c0):
-        mu = Scalar.z_power(-spec.n2)
-        self.dx = GwaElement({1: c0})
-        self.dy = GwaElement({-1: apply_phi_power(spec, c0, -1) * (-mu)})
-        self.word_memo = {}
-
-    def on_poly(self, p):
-        return GwaElement()
+        return list(self._weights)
 
 
 def _qnum(exp, w, n):
@@ -185,45 +183,33 @@ def _qnum(exp, w, n):
     return total
 
 
-class _AlphaAction:
-    def __init__(self, spec, g, w, alpha_h, alpha_k):
-        self.spec = spec
-        self.g = g
-        self.weight = w
-        self.alpha_h = alpha_h
-        self.alpha_k = alpha_k
-        a = BiPoly.var_k() + g
-        if w > 0:
-            self.dx = GwaElement()
-            self.dy = GwaElement(
-                {w - 1: self.on_base(a) * Scalar.z_power(-spec.n2)})
-        else:
-            phi_a = apply_phi_power(spec, a, 1)
-            self.dy = GwaElement()
-            self.dx = GwaElement(
-                {w + 1: self.on_base(phi_a) * Scalar.z_power(spec.n2)})
-        self.word_memo = {}
-
-    def on_base(self, p):
-        # twisted Leibniz on monomials: the h factor passes phi^w across
-        # the k block, paid for by the two q-brackets
-        spec, w = self.spec, self.weight
-        out = BiPoly()
+def _on_poly(spec, dh, dk, p):
+    """D(p) from dh = D(h) and dk = D(k), by twisted Leibniz on monomials
+    at each weight w: the h factor passes phi^w across the k block, paid
+    for by the two q-brackets."""
+    out = {}
+    for w in set(dh.components) | set(dk.components):
+        alpha_h = dh.components.get(w, BiPoly())
+        alpha_k = dk.components.get(w, BiPoly())
+        base = BiPoly()
         for (a, c), coeff in p.terms.items():
             if a:
                 scale = coeff * _qnum(spec.n1, w, a) * Scalar.z_power(spec.d * w * c)
-                out = out + self.alpha_h * BiPoly.monomial(a - 1, c, scale)
+                base = base + alpha_h * BiPoly.monomial(a - 1, c, scale)
             if c:
                 scale = coeff * _qnum(spec.d, w, c)
-                out = out + self.alpha_k * BiPoly.monomial(a, c - 1, scale)
-        return out
-
-    def on_poly(self, p):
-        return GwaElement({self.weight: self.on_base(p)})
+                base = base + alpha_k * BiPoly.monomial(a, c - 1, scale)
+        out[w] = base
+    return GwaElement(out)
 
 
 def build_c_derivation(spec, cspec):
-    return Derivation(spec, ((ONE, _CTypeAction(spec, cspec.c0)),))
+    # weight 0 only: off weight 0, commuting with phi^w forces such maps
+    # to 0; the values on h and k vanish and none depends on g
+    c0 = cspec.c0
+    return Derivation(spec, None, [0], GwaElement({1: c0}),
+                      GwaElement({-1: apply_phi_power(spec, c0, -1) * (-spec.mu)}),
+                      GwaElement(), GwaElement())
 
 
 def _alpha_exponent(spec, which, t):
@@ -282,7 +268,18 @@ def build_alpha_derivation(spec, g, aspec):
         raise DerivationError(
             "alpha values do not couple into a derivation "
             "(hk = kh fails at h^%d*k^%d)" % key)
-    return Derivation(spec, ((ONE, _AlphaAction(spec, g, w, alpha_h, alpha_k)),))
+    dh, dk = GwaElement({w: alpha_h}), GwaElement({w: alpha_k})
+    # y*x = a and x*y = phi(a); with D(x) = 0 (w > 0) or D(y) = 0 (w < 0)
+    # the other generator's value is D(a) or D(phi(a)) moved one word over
+    a = BiPoly.var_k() + g
+    if w > 0:
+        base = _on_poly(spec, dh, dk, a).components.get(w, BiPoly())
+        dx, dy = GwaElement(), GwaElement({w - 1: base * spec.mu})
+    else:
+        phi_a = apply_phi_power(spec, a, 1)
+        base = _on_poly(spec, dh, dk, phi_a).components.get(w, BiPoly())
+        dx, dy = GwaElement({w + 1: base * spec.mu_inv}), GwaElement()
+    return Derivation(spec, g, [w], dx, dy, dh, dk)
 
 
 def coupled_alpha_spec(spec, w, h_coeffs):
@@ -313,23 +310,19 @@ def coupled_alpha_spec(spec, w, h_coeffs):
 # ---------------------------------------------------------------------------
 # application
 
-def _word_derivative(algebra, action, w):
-    """D(v_w), peeling one generator from the left each step."""
-    if w == 0:
-        return GwaElement()
-    memo = action.word_memo
-    if w in memo:
-        return memo[w]
+def _word_derivative(algebra, deriv, w):
+    """D(v_w), filling the memo outward from D(v_0) = 0 by peeling one
+    generator from the left: D(g v_n) = D(g) sigma_mu(v_n) + g D(v_n)."""
+    memo = deriv.word_memo
     step = 1 if w > 0 else -1
-    gen_d = action.dx if step == 1 else action.dy
-    rest = w - step
-    if rest == 0:
-        value = gen_d
-    else:
-        value = gwa_mul(algebra, gen_d, apply_sigma_mu(algebra, basis_word(rest))) \
-            + gwa_mul(algebra, basis_word(step), _word_derivative(algebra, action, rest))
-    memo[w] = value
-    return value
+    gen, gen_d = basis_word(step), memo[step]
+    for n in range(step, w + step, step):
+        if n not in memo:
+            rest = n - step
+            memo[n] = gwa_mul(algebra, gen_d,
+                              apply_sigma_mu(algebra, basis_word(rest))) \
+                + gwa_mul(algebra, gen, memo[rest])
+    return memo[w]
 
 
 def apply_derivation(algebra, deriv, u):
@@ -337,28 +330,27 @@ def apply_derivation(algebra, deriv, u):
     D(p v_w) = D(p) sigma_mu(v_w) + p D(v_w)."""
     if algebra.spec != deriv.spec:
         raise DerivationError("derivation and algebra parameters differ")
+    if deriv.g is not None and deriv.g != algebra.g:
+        raise DerivationError(
+            "derivation was built over a different conformal polynomial")
     total = GwaElement()
-    for c, action in deriv.terms:
-        if isinstance(action, _AlphaAction) and action.g != algebra.g:
-            raise DerivationError(
-                "derivation was built over a different conformal polynomial")
-        part = GwaElement()
-        for w, p in u.components.items():
-            dp = action.on_poly(p)
-            if dp:
-                part = part + gwa_mul(algebra, dp,
-                                      apply_sigma_mu(algebra, basis_word(w)))
-            dword = _word_derivative(algebra, action, w)
-            if dword:
-                part = part + gwa_mul(algebra, from_poly(p), dword)
-        total = total + part * c
+    for w, p in u.components.items():
+        dp = _on_poly(algebra.spec, deriv.dh, deriv.dk, p)
+        if dp:
+            total = total + gwa_mul(algebra, dp,
+                                    apply_sigma_mu(algebra, basis_word(w)))
+        dword = _word_derivative(algebra, deriv, w)
+        if dword:
+            total = total + gwa_mul(algebra, from_poly(p), dword)
     return total
 
 
 def combine(parts):
-    """Scalar combination of derivations over one parameter point."""
-    spec = None
-    terms = []
+    """Scalar combination of derivations over one parameter point; the
+    values on the generators combine linearly."""
+    spec = g = None
+    weights = []
+    dx = dy = dh = dk = GwaElement()
     for c, deriv in parts:
         c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
         if spec is None:
@@ -367,10 +359,16 @@ def combine(parts):
             raise DerivationError("coarseness mismatch")
         if not c:
             continue
-        terms.extend((c * ci, act) for ci, act in deriv.terms)
+        if deriv.g is not None:
+            if g is not None and deriv.g != g:
+                raise DerivationError("conformal polynomial mismatch")
+            g = deriv.g
+        weights += deriv.weights()
+        dx, dy = dx + deriv.dx * c, dy + deriv.dy * c
+        dh, dk = dh + deriv.dh * c, dk + deriv.dk * c
     if spec is None:
         raise DerivationError("nothing to combine")
-    return Derivation(spec, terms)
+    return Derivation(spec, g, weights, dx, dy, dh, dk)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ Generators are d, u, h in the down-up presentation and x, y, h, k in the
 weighted one; integers and z are scalar literals.  '/' must hit a
 nonzero scalar.  Pretty-printed canonical forms parse back to equal
 elements.
+
+A '+'/'-' chain parses to one "sum" node and a '*'/'/' chain to one
+"product" node, so trees deepen only with parentheses (capped at
+MAX_NESTING); a power of a name stays part of that leaf.
 """
 
 from __future__ import annotations
@@ -17,6 +21,11 @@ from __future__ import annotations
 from .bipoly import BiPoly
 from .gwa import basis_word, from_poly, gwa_mul
 from .scalars import Scalar
+
+
+# deepest parenthesis nesting accepted; parsing and evaluating recurse
+# once per level, so this keeps both far from the interpreter's limit
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -77,6 +86,7 @@ class _Parser:
         self.gens = _alphabet(alphabet)
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -96,51 +106,51 @@ class _Parser:
         return node
 
     def expr(self):
-        if self.peek()[0] == "-":
-            self.take()
-            node = ("neg", self.term())
-        else:
-            node = self.term()
+        sign = self.take()[0] if self.peek()[0] == "-" else "+"
+        terms = [(sign, self.term())]
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            terms.append((self.take()[0], self.term()))
+        if len(terms) == 1 and sign == "+":
+            return terms[0][1]
+        return ("sum", tuple(terms))
 
     def term(self):
-        node = self.factor()
+        factors = [("*", self.factor())]
         while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            factors.append((self.take()[0], self.factor()))
+        if len(factors) == 1:
+            return factors[0][1]
+        return ("product", tuple(factors))
 
     def factor(self):
         kind, value, pos = self.peek()
         if kind == "int":
             self.take()
-            return ("int", value, pos)
+            return ("int", value)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    "parentheses nested deeper than %d" % MAX_NESTING, pos)
             self.take()
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             self.take(")")
             return node
         if kind == "name":
             self.take()
-            if value == "z":
-                node = ("z", pos)
-            elif value in self.gens:
-                node = ("gen", value, pos)
-            elif len(value) == 1:
-                raise ParseError(
-                    "%s not in alphabet %s" % (value, self.alphabet), pos)
-            else:
+            if value != "z" and value not in self.gens:
+                if len(value) == 1:
+                    raise ParseError(
+                        "%s not in alphabet %s" % (value, self.alphabet), pos)
                 raise ParseError("unknown name %r" % value, pos)
+            exponent = 1
             if self.peek()[0] == "^":
                 self.take()
-                etok = self.take("int")
-                node = ("pow", node, etok[1])
-            return node
+                exponent = self.take("int")[1]
+            if value == "z":
+                return ("z", exponent)
+            return ("gen", value, exponent)
         raise ParseError("expected a value, found %r" % (value,), pos)
 
 
@@ -152,29 +162,26 @@ def parse_expression(text, alphabet):
 # ---------------------------------------------------------------------------
 # evaluators; each interprets the same trees in a different carrier
 
-def _eval(node, leaf, one, mul, add, neg, div):
-    op = node[0]
-    if op in ("int", "z", "gen"):
+def _eval(node, leaf, mul, scalar_of):
+    """Interpret a tree: leaf evaluates the int, z^e and generator^e
+    nodes, mul multiplies two values and scalar_of turns a divisor into
+    its Scalar (or raises); sums use +, unary - and scalar products."""
+    if node[0] not in ("sum", "product"):
         return leaf(node)
-    if op == "pow":
-        base = _eval(node[1], leaf, one, mul, add, neg, div)
-        out = one()
-        for _ in range(node[2]):
-            out = mul(out, base)
-        return out
-    if op == "neg":
-        return neg(_eval(node[1], leaf, one, mul, add, neg, div))
-    a = _eval(node[1], leaf, one, mul, add, neg, div)
-    b = _eval(node[2], leaf, one, mul, add, neg, div)
-    if op == "add":
-        return add(a, b)
-    if op == "sub":
-        return add(a, neg(b))
-    if op == "mul":
-        return mul(a, b)
-    if op == "div":
-        return div(a, b)
-    raise ValueError("bad node %r" % (op,))
+    out = None
+    for op, child in node[1]:
+        value = _eval(child, leaf, mul, scalar_of)
+        if op == "-":
+            value = -value
+        if out is None:
+            out = value
+        elif op == "*":
+            out = mul(out, value)
+        elif op == "/":
+            out = out * scalar_of(value).inverse()
+        else:
+            out = out + value
+    return out
 
 
 def eval_scalar(node):
@@ -182,11 +189,9 @@ def eval_scalar(node):
         # the scalar alphabet has no generators, so a leaf is int or z
         if n[0] == "int":
             return Scalar.from_rational(n[1])
-        return Scalar.z_power(1)
+        return Scalar.z_power(n[1])
 
-    return _eval(node, leaf, lambda: Scalar.from_rational(1),
-                 lambda a, b: a * b, lambda a, b: a + b,
-                 lambda a: -a, lambda a, b: a / b)
+    return _eval(node, leaf, lambda a, b: a * b, lambda s: s)
 
 
 def parse_scalar(text):
@@ -198,19 +203,17 @@ def eval_bipoly(node):
         if n[0] == "int":
             return BiPoly.const(Scalar.from_rational(n[1]))
         if n[0] == "z":
-            return BiPoly.const(Scalar.z_power(1))
+            return BiPoly.const(Scalar.z_power(n[1]))
         if n[1] == "h":
-            return BiPoly.var_h()
-        return BiPoly.var_k()
+            return BiPoly.var_h(n[2])
+        return BiPoly.var_k(n[2])
 
-    def div(a, b):
+    def scalar_of(b):
         if not b.is_const():
             raise ValueError("division by a non-scalar polynomial")
-        return a / b.const_value()
+        return b.const_value()
 
-    return _eval(node, leaf, BiPoly.one,
-                 lambda a, b: a * b, lambda a, b: a + b,
-                 lambda a: -a, div)
+    return _eval(node, leaf, lambda a, b: a * b, scalar_of)
 
 
 def parse_bipoly(text):
@@ -232,20 +235,19 @@ def eval_element(node, algebra, alphabet="gwa"):
         if n[0] == "int":
             return from_poly(BiPoly.const(Scalar.from_rational(n[1])))
         if n[0] == "z":
-            return from_poly(BiPoly.const(Scalar.z_power(1)))
+            return from_poly(BiPoly.const(Scalar.z_power(n[1])))
         w = words[n[1]]
         if w is not None:
-            return basis_word(w)
-        return from_poly(BiPoly.var_h() if n[1] == "h" else BiPoly.var_k())
+            return basis_word(w * n[2])
+        return from_poly(BiPoly.var_h(n[2]) if n[1] == "h"
+                         else BiPoly.var_k(n[2]))
 
-    def div(a, b):
+    def scalar_of(b):
         if not b.is_poly() or not b.as_poly().is_const():
             raise ValueError("division by a non-scalar expression")
-        return a * b.as_poly().const_value().inverse()
+        return b.as_poly().const_value()
 
-    return _eval(node, leaf, lambda: basis_word(0),
-                 lambda a, b: gwa_mul(algebra, a, b),
-                 lambda a, b: a + b, lambda a: -a, div)
+    return _eval(node, leaf, lambda a, b: gwa_mul(algebra, a, b), scalar_of)
 
 
 def parse_element(text, algebra, alphabet="gwa"):

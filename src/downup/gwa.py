@@ -14,7 +14,7 @@ chain of the two defining rewrites.
 from __future__ import annotations
 
 from .bipoly import BiPoly, apply_phi_power, _as_bipoly
-from .scalars import Scalar, _as_scalar, _signed_sum
+from .scalars import Scalar, _accumulate, _as_scalar, _signed_sum
 
 
 class GwaElement:
@@ -52,12 +52,7 @@ class GwaElement:
             return NotImplemented
         out = dict(self.components)
         for w, p in o.components.items():
-            v = out.get(w)
-            v = p if v is None else v + p
-            if v:
-                out[w] = v
-            elif w in out:
-                del out[w]
+            _accumulate(out, w, p)
         return _raw(out)
 
     __radd__ = __add__
@@ -224,13 +219,7 @@ def gwa_mul(A, u, v):
     for m, p in u.components.items():
         for n, q in v.components.items():
             coeff, w = _word_product(A, m, n)
-            term = p * apply_phi_power(A.spec, q, m) * coeff
-            prev = out.get(w)
-            term = term if prev is None else prev + term
-            if term:
-                out[w] = term
-            elif w in out:
-                del out[w]
+            _accumulate(out, w, p * apply_phi_power(A.spec, q, m) * coeff)
     return _raw(out)
 
 

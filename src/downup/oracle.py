@@ -119,31 +119,28 @@ def free_expand(node):
         c = Scalar.from_rational(node[1])
         return {(): c} if c else {}
     if op == "z":
-        return {(): Scalar.z_power(1)}
+        return {(): Scalar.z_power(node[1])}
     if op == "gen":
-        return {(node[1],): Scalar.from_rational(1)}
-    if op == "pow":
-        out = {(): Scalar.from_rational(1)}
-        for _ in range(node[2]):
-            out = _free_mul(out, free_expand(node[1]))
-        return out
-    if op == "neg":
-        return {word: -c for word, c in free_expand(node[1]).items()}
-    a = free_expand(node[1])
-    b = free_expand(node[2])
-    if op == "mul":
-        return _free_mul(a, b)
-    if op == "add":
-        return _free_add(a, b)
-    if op == "sub":
-        return _free_add(a, {w: -c for w, c in b.items()})
-    if op == "div":
-        if any(word for word in b):
-            raise ValueError("division by a non-scalar expression")
-        divisor = b.get((), Scalar(()))
-        inv = divisor.inverse()
-        return {word: c * inv for word, c in a.items()}
-    raise ValueError("bad node %r" % (op,))
+        return {(node[1],) * node[2]: Scalar.from_rational(1)}
+    if op not in ("sum", "product"):
+        raise ValueError("bad node %r" % (op,))
+    out = None
+    for sign, child in node[1]:
+        part = free_expand(child)
+        if sign == "-":
+            part = {word: -c for word, c in part.items()}
+        if out is None:
+            out = part
+        elif sign == "*":
+            out = _free_mul(out, part)
+        elif sign == "/":
+            if any(word for word in part):
+                raise ValueError("division by a non-scalar expression")
+            inv = part.get((), Scalar(())).inverse()
+            out = {word: c * inv for word, c in out.items()}
+        else:
+            out = _free_add(out, part)
+    return out
 
 
 def _free_add(a, b):

@@ -125,6 +125,17 @@ def _nterms(cs):
     return sum(1 for c in cs if c)
 
 
+def _accumulate(out, key, c):
+    # add c into the sparse map at key; a zero sum drops the key, so
+    # zero coefficients are never stored
+    v = out.get(key)
+    v = c if v is None else v + c
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
 class Scalar:
     """A rational function of z in lowest terms with monic denominator.
 

@@ -72,6 +72,16 @@ def test_indices_huge_exponents(capsys):
                                 "J = {0, 1000000000, 2000000000}"]
 
 
+def test_indices_size_cap(capsys):
+    # this finite set has about 10^9 members; its size is known before
+    # any member is built, and past the cap it is refused
+    code, out, err = run(capsys, "--d", "1", "--n1", "1",
+                         "--n2", "1000000000", "indices")
+    assert code == 2 and out == ""
+    assert err.startswith("error: index set has 1000000002 members")
+    assert err.count("\n") == 1
+
+
 def test_conformal_command(capsys):
     code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
                          "--f", "0,1", "conformal")
@@ -106,6 +116,28 @@ def test_mul_beyond_oracle_reach(capsys):
     assert code == 0
     assert doc["result"] == "x^9"
     assert "oracle_agrees" not in doc["witnesses"]
+
+
+def test_mul_power_in_one_step(capsys):
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "mul", "z^200000", "1")
+    assert (code, out, err) == (0, "z^200000\n", "")
+
+
+def test_mul_long_sum(capsys):
+    # a sum chain is one node, however long
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "mul", "+".join(["h"] * 3000), "1")
+    assert (code, out, err) == (0, "3000*h\n", "")
+
+
+def test_deep_nesting_exits_2(capsys):
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "mul", "(" * 3000 + "h" + ")" * 3000,
+                         "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: parentheses nested deeper than 100")
+    assert err.count("\n") == 1
 
 
 def test_translate_command(capsys):

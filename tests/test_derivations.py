@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +107,9 @@ def test_c_type_action_on_generators():
     mu = Scalar.z_power(-spec.n2)
     shifted = BiPoly({(1, 1): Scalar.z_power(-spec.n1 - spec.d), (0, 0): ONE})
     assert apply_derivation(A, D, A.y()) == GwaElement({-1: shifted * (-mu)})
+    # the values on h and k vanish, and none depends on g
+    assert D.dh == D.dk == GwaElement.zero()
+    assert D.g is None
 
 
 def test_c_type_leibniz():
@@ -224,11 +229,27 @@ def test_combine_is_linear():
 
 def test_combine_drops_zero_parts():
     A = std_algebra()
-    D1 = build_c_derivation(A.spec, CTypeSpec(H))
-    D = combine([(Scalar(()), D1), (ONE, D1)])
-    assert len(D.terms) == 1
+    c_type = build_c_derivation(A.spec, CTypeSpec(H))
+    alpha = build_alpha_derivation(A.spec, A.g,
+                                   coupled_alpha_spec(A.spec, 1, {1: 1}))
+    D = combine([(0, alpha), (1, c_type)])
+    assert D.weights() == [0]
+    assert D.g is None
+    assert (D.dx, D.dy, D.dh, D.dk) == \
+        (c_type.dx, c_type.dy, c_type.dh, c_type.dk)
     with pytest.raises(DerivationError, match="nothing to combine"):
         combine([])
+
+
+def test_combine_requires_one_conformal_polynomial():
+    A = std_algebra()
+    aspec = coupled_alpha_spec(A.spec, 1, {1: 1})
+    D1 = build_alpha_derivation(A.spec, A.g, aspec)
+    D2 = build_alpha_derivation(A.spec, H, aspec)
+    with pytest.raises(DerivationError, match="conformal polynomial mismatch"):
+        combine([(ONE, D1), (ONE, D2)])
+    # a part with a zero coefficient brings no g along
+    assert combine([(ONE, D1), (0, D2)]).g == A.g
 
 
 def test_combine_requires_one_parameter_point():
@@ -257,6 +278,23 @@ def test_word_derivative_matches_leibniz_unrolling():
     lhs = apply_derivation(A, D, gwa_mul(A, x, x))
     rhs = gwa_mul(A, dx, apply_sigma_mu(A, x)) + gwa_mul(A, x, dx)
     assert lhs == rhs
+
+
+def test_word_derivative_does_not_recurse():
+    # a word longer than the recursion limit: one generator peeled per
+    # loop turn, not per stack frame
+    A = std_algebra()
+    D = build_c_derivation(A.spec, CTypeSpec(BiPoly.one()))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        start = time.perf_counter()
+        value = apply_derivation(A, D, basis_word(200))
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value.weights() == [200]
+    assert elapsed < 2.0
 
 
 def test_random_derivation_mix_satisfies_leibniz():
