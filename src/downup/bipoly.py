@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, Scalar, _accumulate, _as_scalar, _signed_sum
+from .scalars import ONE, ZERO, Scalar, _accumulate, _as_scalar, _signed_sum
 
 
 class BiPoly:
@@ -62,7 +62,7 @@ class BiPoly:
     def const_value(self):
         if not self.is_const():
             raise ValueError("not a scalar polynomial")
-        return self.terms.get((0, 0), Scalar(()))
+        return self.terms.get((0, 0), ZERO)
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, apply_phi_power, diff_h, exact_divide_by_a
 from .gwa import GwaElement, apply_sigma_mu, basis_word, from_poly, gwa_mul
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 class DerivationError(ValueError):
@@ -177,7 +177,7 @@ class Derivation:
 
 def _qnum(exp, w, n):
     # 1 + q + ... + q^(n-1) for q = z^(exp*w)
-    total = Scalar(())
+    total = ZERO
     for t in range(n):
         total = total + Scalar.z_power(exp * w * t)
     return total

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bipoly import BiPoly
 from .gwa import GwaElement
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,9 @@ def free_expand(node):
     if op == "z":
         return {(): Scalar.z_power(node[1])}
     if op == "gen":
+        # refuse an over-long power before building its letters
+        if node[2] > MAX_LENGTH:
+            raise ValueError("length bound exceeded")
         return {(node[1],) * node[2]: Scalar.from_rational(1)}
     if op not in ("sum", "product"):
         raise ValueError("bad node %r" % (op,))
@@ -136,7 +139,7 @@ def free_expand(node):
         elif sign == "/":
             if any(word for word in part):
                 raise ValueError("division by a non-scalar expression")
-            inv = part.get((), Scalar(())).inverse()
+            inv = part.get((), ZERO).inverse()
             out = {word: c * inv for word, c in out.items()}
         else:
             out = _free_add(out, part)

@@ -10,7 +10,7 @@ from .derivations import (CTypeSpec, build_alpha_derivation,
                           build_c_derivation, combine, coupled_alpha_spec,
                           index_sets)
 from .gwa import GwaElement
-from .scalars import Scalar, validate_param_spec
+from .scalars import ZERO, Scalar, validate_param_spec
 
 
 def rng_for(seed):
@@ -26,13 +26,12 @@ def random_rational(rng, bound=5, nonzero=False):
 
 def random_scalar(rng, degree=2, with_denominator=False, nonzero=False):
     while True:
-        num = tuple(random_rational(rng, 3) for _ in range(rng.randint(1, degree + 1)))
+        num = {e: random_rational(rng, 3) for e in range(rng.randint(1, degree + 1))}
         s = Scalar(num)
         if with_denominator and rng.random() < 0.5:
-            e = rng.randint(1, 2)
-            den = (0,) * e + (1,)
+            den = {rng.randint(1, 2): 1}
             if rng.random() < 0.5:
-                den = (random_rational(rng, 2, nonzero=True),) + den[1:]
+                den[0] = random_rational(rng, 2, nonzero=True)
             s = Scalar(num, den)
         if s or not nonzero:
             return s
@@ -69,7 +68,7 @@ def random_param_spec(rng, d_max=3, n_max=5):
 
 
 def random_f_coefficients(rng, max_support=6, max_terms=3):
-    coeffs = [Scalar(()) for _ in range(max_support + 1)]
+    coeffs = [ZERO] * (max_support + 1)
     degrees = rng.sample(range(max_support + 1), rng.randint(1, max_terms))
     for i in degrees:
         coeffs[i] = random_scalar(rng, degree=1, nonzero=True)

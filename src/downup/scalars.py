@@ -20,73 +20,95 @@ class ParameterError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials in z over the rationals: tuples, index = exponent,
-# no trailing zeros
+# sparse polynomials in z over the rationals: exponent -> coefficient maps
+# that never hold a zero, kept by _accumulate
 
-def _trim(cs):
-    n = len(cs)
-    while n and not cs[n - 1]:
-        n -= 1
-    return tuple(cs[:n])
+def _accumulate(out, key, c):
+    # add c into the sparse map at key; a zero sum drops the key, so
+    # zero coefficients are never stored
+    v = out.get(key)
+    v = c if v is None else v + c
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
 
 
 def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _trim(out)
-
-
-def _pneg(a):
-    return tuple(-c for c in a)
+    out = dict(a)
+    for e, c in b.items():
+        _accumulate(out, e, c)
+    return out
 
 
 def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] = out[i + j] + ca * cb
-    return _trim(out)
+    out = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            _accumulate(out, i + j, ca * cb)
+    return out
 
 
 def _pdivmod(a, b):
     # long division over the rationals; b must be nonzero
     if not b:
         raise ZeroDivisionError("zero divisor")
-    rem = list(a)
-    if len(a) < len(b):
-        return (), _trim(rem)
-    lead = b[-1]
-    quo = [0] * (len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        c = Fraction(rem[shift + len(b) - 1]) / lead
-        if c:
-            quo[shift] = c
-            for i, cb in enumerate(b):
-                if cb:
-                    rem[shift + i] = rem[shift + i] - c * cb
-    return _trim(quo), _trim(rem)
+    top = max(b)
+    lead = b[top]
+    quo, rem = {}, dict(a)
+    while rem:
+        e = max(rem)
+        if e < top:
+            break
+        c = Fraction(rem[e]) / lead
+        quo[e - top] = c
+        for i, cb in b.items():
+            _accumulate(rem, e - top + i, -c * cb)
+    return quo, rem
 
 
 def _pgcd(a, b):
+    # a gcd up to a constant factor: _lowest_terms makes the denominator
+    # monic after dividing by it, so its scale never shows
     while b:
         a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    lc = a[-1]
-    if lc != 1:
-        a = tuple(Fraction(c) / lc for c in a)
     return a
 
 
-_P_ONE = (Fraction(1),)
+_P_ONE = {0: 1}
+
+
+def _lowest_terms(num, den):
+    # the normal form of num/den: lowest terms, monic denominator
+    if not den:
+        raise ZeroDivisionError("zero divisor")
+    if not num:
+        return num, _P_ONE
+    if den == _P_ONE:
+        return num, den
+    if len(den) == 1:
+        # monomial denominator: the gcd is a bare power of z
+        (top, lc), = den.items()
+        t = min(top, min(num))
+        num = {e - t: c if lc == 1 else Fraction(c) / lc
+               for e, c in num.items()}
+        return num, {top - t: 1}
+    g = _pgcd(num, den)
+    if max(g):
+        num = _pdivmod(num, g)[0]
+        den = _pdivmod(den, g)[0]
+    lc = den[max(den)]
+    if lc != 1:
+        num = {e: Fraction(c) / lc for e, c in num.items()}
+        den = {e: Fraction(c) / lc for e, c in den.items()}
+    return num, den
+
+
+def _checked(poly):
+    # a caller's map as a fresh map with no zero and no negative exponent
+    if any(e < 0 for e in poly):
+        raise ValueError("negative exponent %d" % min(poly))
+    return {e: c for e, c in poly.items() if c}
 
 
 def _signed_sum(parts):
@@ -102,11 +124,8 @@ def _signed_sum(parts):
 def _poly_text(cs):
     # descending powers, omitted unit coefficients: "2*z^3 - z + 1"
     parts = []
-    for e in range(len(cs) - 1, -1, -1):
-        c = cs[e]
-        if not c:
-            continue
-        c = Fraction(c)
+    for e in sorted(cs, reverse=True):
+        c = Fraction(cs[e])
         if e == 0:
             body = str(c)
         else:
@@ -121,71 +140,31 @@ def _poly_text(cs):
     return _signed_sum(parts)
 
 
-def _nterms(cs):
-    return sum(1 for c in cs if c)
-
-
-def _accumulate(out, key, c):
-    # add c into the sparse map at key; a zero sum drops the key, so
-    # zero coefficients are never stored
-    v = out.get(key)
-    v = c if v is None else v + c
-    if v:
-        out[key] = v
-    else:
-        out.pop(key, None)
-
-
 class Scalar:
     """A rational function of z in lowest terms with monic denominator.
 
-    The normal form makes == genuine field equality, so scalars can key
-    dictionaries and witness exact identities.
+    num and den map exponents to nonzero rational coefficients.  The
+    normal form makes == genuine field equality, so scalars can key
+    dictionaries and witness exact identities.  Results share maps, so
+    no map held by a Scalar is ever mutated.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=_P_ONE):
-        num = _trim(num)
-        den = _trim(den)
-        if not den:
-            raise ZeroDivisionError("zero divisor")
-        if not num:
-            den = _P_ONE
-        elif den == _P_ONE:
-            pass
-        elif _nterms(den) == 1:
-            # monomial denominator: the gcd is a bare power of z
-            val = 0
-            while not num[val]:
-                val += 1
-            t = min(len(den) - 1, val)
-            lc = den[-1]
-            num = num[t:] if lc == 1 else tuple(Fraction(c) / lc for c in num[t:])
-            den = (0,) * (len(den) - 1 - t) + (Fraction(1),)
-        else:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
-            lc = den[-1]
-            if lc != 1:
-                num = tuple(Fraction(c) / lc for c in num)
-                den = tuple(Fraction(c) / lc for c in den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _lowest_terms(_checked(num), _checked(den))
 
     @classmethod
     def from_rational(cls, q):
         q = Fraction(q)
-        return cls((q,) if q else ())
+        return _raw({0: q} if q else {})
 
     @classmethod
     def z_power(cls, e):
         """z^e for any integer e; negative e lands in the denominator."""
         if e >= 0:
-            return cls((0,) * e + (1,))
-        return cls(_P_ONE, (0,) * (-e) + (1,))
+            return _raw({e: 1})
+        return _raw(_P_ONE, {-e: 1})
 
     # -- ring/field structure ------------------------------------------------
 
@@ -194,15 +173,15 @@ class Scalar:
         if o is None:
             return NotImplemented
         if self.den == _P_ONE and o.den == _P_ONE:
-            return Scalar(_padd(self.num, o.num))
+            return _raw(_padd(self.num, o.num))
         num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return Scalar(num, _pmul(self.den, o.den))
+        return _raw(num, _pmul(self.den, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
         s = Scalar.__new__(Scalar)
-        s.num = _pneg(self.num)
+        s.num = {e: -c for e, c in self.num.items()}
         s.den = self.den
         return s
 
@@ -222,7 +201,7 @@ class Scalar:
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
-        return Scalar(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        return _raw(_pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -232,7 +211,7 @@ class Scalar:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("zero divisor")
-        return Scalar(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        return _raw(_pmul(self.num, o.den), _pmul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = _as_scalar(other)
@@ -243,23 +222,16 @@ class Scalar:
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        if e == 0:
-            return Scalar(_P_ONE)
-        base = self
-        if e < 0:
-            if not self.num:
-                raise ZeroDivisionError("zero divisor")
-            base = Scalar(self.den, self.num)
-            e = -e
-        out = base
-        for _ in range(e - 1):
+        base = self.inverse() if e < 0 else self
+        out = ONE
+        for _ in range(abs(e)):
             out = out * base
         return out
 
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("zero divisor")
-        return Scalar(self.den, self.num)
+        return _raw(self.den, self.num)
 
     def __bool__(self):
         return bool(self.num)
@@ -271,17 +243,13 @@ class Scalar:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     def __str__(self):
         if self.den == _P_ONE:
             return _poly_text(self.num)
-        num = _poly_text(self.num)
-        if _nterms(self.num) > 1:
-            num = "(" + num + ")"
-        den = _poly_text(self.den)
-        if _nterms(self.den) > 1:
-            den = "(" + den + ")"
+        num, den = ("(%s)" % _poly_text(p) if len(p) > 1 else _poly_text(p)
+                    for p in (self.num, self.den))
         return "%s/%s" % (num, den)
 
     def __repr__(self):
@@ -289,11 +257,19 @@ class Scalar:
 
     def needs_parens(self):
         # true when embedding the printed form in a product would re-associate
-        return self.den == _P_ONE and _nterms(self.num) > 1
+        return self.den == _P_ONE and len(self.num) > 1
 
 
-ZERO = Scalar(())
-ONE = Scalar(_P_ONE)
+def _raw(num, den=_P_ONE):
+    # arithmetic's constructor: its maps already hold no zero and no
+    # negative exponent, so only the reduction to normal form runs
+    s = Scalar.__new__(Scalar)
+    s.num, s.den = _lowest_terms(num, den)
+    return s
+
+
+ZERO = _raw({})
+ONE = _raw(_P_ONE)
 
 
 def _as_scalar(x):

@@ -19,7 +19,7 @@ from .oracle import oracle_normalize
 from .presentation import (DownUpPresentation, conformal_residue, gwa_algebra,
                            relation_residues, solve_conformal,
                            witness_support_matches)
-from .scalars import Scalar, validate_param_spec
+from .scalars import ZERO, Scalar, validate_param_spec
 
 
 @dataclass
@@ -74,7 +74,7 @@ def suite_field(ctx):
               and (a * b) * c == a * (b * c)
               and a * (b + c) == a * b + a * c
               and a + b == b + a
-              and a - a == Scalar(())
+              and a - a == ZERO
               and c * c.inverse() == Scalar.from_rational(1))
         res.check(ok, lambda: "sample %d: (%s, %s, %s)" % (n, a, b, c))
     return res

@@ -1,12 +1,11 @@
 """Shared helpers: independent oracles the tests check the library against."""
 
-from downup import (BiPoly, DownUpPresentation, Scalar, gwa_algebra,
+from downup import (ZERO, BiPoly, DownUpPresentation, Scalar, gwa_algebra,
                     validate_param_spec)
 # the brute-force index enumerator and the Leibniz identity live with the
 # verify suites; the tests use the same two checks
 from downup.suites import enumerate_indices, leibniz_holds
 
-ZERO = Scalar(())
 ONE = Scalar.from_rational(1)
 
 

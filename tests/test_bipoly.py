@@ -21,7 +21,7 @@ def test_additive_identity():
 
 
 def test_zero_coefficients_never_stored():
-    p = BiPoly({(1, 0): Scalar(()), (0, 1): ONE})
+    p = BiPoly({(1, 0): Scalar({}), (0, 1): ONE})
     assert support_of(p) == {(0, 1)}
     q = H + (-1) * H
     assert not q.terms

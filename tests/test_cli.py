@@ -2,6 +2,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,27 @@ def test_mul_power_in_one_step(capsys):
     code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
                          "--f", "0,1", "mul", "z^200000", "1")
     assert (code, out, err) == (0, "z^200000\n", "")
+
+
+@pytest.mark.parametrize("power", ["z^1000000000", "x^1000000000"])
+def test_mul_huge_power(capsys, power):
+    # z^e is one stored term, and a generator power past the oracle's
+    # length bound is refused before its letters are built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "mul", power, "1")
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (0, power + "\n", "")
+
+
+def test_cancelled_long_word_steps_the_oracle_aside(capsys):
+    # the length bound applies to each power as written, even when the
+    # over-long word cancels
+    code, doc = run_json(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "mul", "0*x^9", "1")
+    assert code == 0
+    assert doc["result"] == "0"
+    assert "oracle_agrees" not in doc["witnesses"]
 
 
 def test_mul_long_sum(capsys):

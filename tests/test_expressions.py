@@ -102,3 +102,37 @@ def test_element_round_trips():
     for _ in range(100):
         e = random_element(rng, with_denominator=True)
         assert parse_element(str(e), A) == e
+
+
+def test_print_parse_round_trip_property():
+    # printing then parsing is the identity, and printing is stable
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    A = std_algebra()
+    seeds = st.integers(0, 2 ** 32)
+    drawn = st.one_of(
+        seeds.map(lambda n: (random_scalar(rng_for(n), with_denominator=True),
+                             parse_scalar)),
+        seeds.map(lambda n: (random_bipoly(rng_for(n), with_denominator=True),
+                             parse_bipoly)),
+        seeds.map(lambda n: (random_element(rng_for(n), with_denominator=True),
+                             lambda text: parse_element(text, A))))
+    # sparse scalars with huge exponents over a monomial denominator; a
+    # denominator of two such terms would send the parser's gcd through
+    # a long Euclid run, which is not what this property is about
+    rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    sparse = st.builds(
+        Scalar, st.dictionaries(st.integers(0, 10 ** 5), rationals, max_size=4),
+        st.builds(lambda e, c: {e: c}, st.integers(0, 10 ** 5),
+                  rationals.filter(bool)))
+    drawn = st.one_of(drawn, sparse.map(lambda s: (s, parse_scalar)))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(drawn)
+    def check(case):
+        u, parse = case
+        text = str(u)
+        assert parse(text) == u
+        assert str(parse(text)) == text
+
+    check()
