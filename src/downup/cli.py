@@ -204,6 +204,9 @@ def cmd_inner(args, options):
 
 
 def cmd_verify(args, options):
+    samples = int(options.get("samples", 200))
+    if samples < 1:
+        raise ParameterError("samples must be at least 1, got %d" % samples)
     spec_free = set(args.suites) <= {"field", "params"}
     try:
         spec = _spec_from(options)
@@ -216,7 +219,7 @@ def cmd_verify(args, options):
         coeffs = _f_coefficients(options)
     ctx = SuiteContext(spec=spec, f_coeffs=coeffs,
                        seed=int(options.get("seed", 0)),
-                       samples=int(options.get("samples", 200)))
+                       samples=samples)
     results = run_suites(args.suites, ctx)
     all_ok = all(r.ok for r in results)
     doc = {"command": "verify",

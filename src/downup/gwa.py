@@ -146,9 +146,10 @@ def _as_element(x):
 
 
 class GwaAlgebra:
-    """Parameters plus the distinguished polynomial a = k + g(h)."""
+    """Parameters, the distinguished polynomial a = k + g(h), and the
+    word-product coefficients built so far (``words``, see _word_product)."""
 
-    __slots__ = ("spec", "g", "a", "phi_a")
+    __slots__ = ("spec", "g", "a", "phi_a", "words")
 
     def __init__(self, spec, g):
         if not g.is_h_only():
@@ -157,6 +158,7 @@ class GwaAlgebra:
         self.g = g
         self.a = BiPoly.var_k() + g
         self.phi_a = apply_phi_power(spec, self.a, 1)
+        self.words = {}
 
     def x(self):
         return basis_word(1)
@@ -190,23 +192,25 @@ def from_poly(p):
 def _word_product(A, m, n):
     """Reduce v_m * v_n to (coefficient, v_{m+n}) one rewrite at a time.
 
-    Each loop turn eliminates the innermost adjacent x,y pair via
-    x*y -> phi(a) or y*x -> a and commutes the result leftward, which
-    costs one power of phi.  Same-sign words multiply freely.
+    Each rewrite eliminates the innermost adjacent x,y pair via x*y ->
+    phi(a) or y*x -> a and commutes the result leftward, which costs one
+    power of phi.  Same-sign words multiply freely.  The coefficient
+    depends only on m and the number t of cancelled pairs, so the algebra
+    keeps it under (m, t) once built.
     """
-    weight = m + n
-    coeff = BiPoly.one()
-    while m > 0 and n < 0:
-        # x^m y^(...)  ->  phi^m(a) x^(m-1) y^(...-1)
-        coeff = coeff * apply_phi_power(A.spec, A.a, m)
-        m -= 1
-        n += 1
-    while m < 0 and n > 0:
-        # y^(...) x^n  ->  phi^(m+1)(a) y^(...-1) x^(n-1)
-        coeff = coeff * apply_phi_power(A.spec, A.a, m + 1)
-        m += 1
-        n -= 1
-    return coeff, weight
+    if m * n >= 0:
+        return BiPoly.one(), m + n
+    key = (m, min(abs(m), abs(n)))
+    coeff = A.words.get(key)
+    if coeff is None:
+        # x^m y^..  ->  phi^m(a) x^(m-1) y^..   and
+        # y^-m x^..  ->  phi^(m+1)(a) y^(-m-1) x^..,  then the next pair
+        coeff = BiPoly.one()
+        for j in range(key[1]):
+            e = m - j if m > 0 else m + 1 + j
+            coeff = coeff * apply_phi_power(A.spec, A.a, e)
+        A.words[key] = coeff
+    return coeff, m + n
 
 
 def gwa_mul(A, u, v):

@@ -217,6 +217,23 @@ def test_verify_spec_free(capsys):
     assert out.splitlines() == ["field: 25/25", "all checks passed"]
 
 
+@pytest.mark.parametrize("samples, config", [
+    ("-1", None), ("0", None), (None, "samples = 0\n"),
+], ids=["flag-negative", "flag-zero", "config-zero"])
+def test_verify_rejects_samples_below_one(tmp_path, capsys, samples, config):
+    argv = ["--samples", samples] if samples else []
+    if config:
+        cfg = tmp_path / "samples.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    for suites in (["field"], ["all"]):
+        code, out, err = run(capsys, *argv, "--d", "1", "--n1", "3",
+                             "--n2", "2", "--f", "0,1", "verify", *suites)
+        assert code == 2 and out == ""
+        assert err.startswith("error: samples must be at least 1")
+        assert err.count("\n") == 1
+
+
 def test_verify_with_parameters(capsys):
     code, doc = run_json(capsys, "--d", "1", "--n1", "3", "--n2", "2",
                          "--f", "0,1", "--samples", "10", "--seed", "3",

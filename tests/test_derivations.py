@@ -11,7 +11,7 @@ from downup import (AlphaSpec, BiPoly, CTypeSpec, Derivation, DerivationError,
                     check_weight0_alpha_condition, combine,
                     coupled_alpha_spec, from_poly, gwa_mul, index_sets,
                     index_sets_from_b, parse_derivation_spec, solve_inner,
-                    twisted_commutator)
+                    twisted_commutator, validate_param_spec)
 from downup.sampling import (random_bipoly, random_derivations,
                              random_element, rng_for)
 
@@ -305,6 +305,52 @@ def test_random_derivation_mix_satisfies_leibniz():
             u = random_element(rng, max_weight=2)
             v = random_element(rng, max_weight=2)
             assert leibniz_holds(A, D, u, v), repr(D)
+
+
+def test_leibniz_property_at_random_points():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficients = st.fractions(min_value=-3, max_value=3,
+                                max_denominator=3).filter(bool)
+    exponents = st.integers(-4, 4).filter(bool)
+
+    @st.composite
+    def points(draw):
+        try:
+            spec = validate_param_spec(draw(st.integers(1, 3)),
+                                       draw(exponents), draw(exponents))
+        except ValueError:
+            hypothesis.reject()
+        return std_algebra(spec, draw(st.sampled_from(
+            [(0, 1), (1, 0, 1), (0, 0, 1)])))
+
+    @st.composite
+    def polys(draw, degree):
+        keys = draw(st.lists(st.tuples(st.integers(0, degree),
+                                       st.integers(0, degree)),
+                             min_size=1, max_size=2, unique=True))
+        return BiPoly({key: draw(coefficients) for key in keys})
+
+    elements = st.builds(lambda w, p: GwaElement({w: p}),
+                         st.integers(-2, 2), polys(1))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(points(), polys(2), st.data())
+    def check(A, c0, data):
+        spec = A.spec
+        derivs = [build_c_derivation(spec, CTypeSpec(c0))]
+        i_set, _ = index_sets(spec)
+        options = [i for i in i_set.members_up_to(4) if i >= 1]
+        if options:
+            w = data.draw(st.sampled_from([1, -1, 2, -2]))
+            aspec = coupled_alpha_spec(spec, w, {
+                data.draw(st.sampled_from(options)): data.draw(coefficients)})
+            derivs.append(build_alpha_derivation(spec, A.g, aspec))
+        u, v = data.draw(elements), data.draw(elements)
+        for D in derivs:
+            assert leibniz_holds(A, D, u, v), (spec, D)
+
+    check()
 
 
 def test_derivation_metadata():

@@ -1,7 +1,12 @@
+from itertools import product
+
 import pytest
 
+import downup.gwa
 from downup import (BiPoly, GwaAlgebra, GwaElement, Scalar, apply_phi_power,
-                    apply_sigma_mu, basis_word, from_poly, gwa_mul)
+                    apply_sigma_mu, basis_word, from_poly, gwa_mul,
+                    oracle_normalize)
+from downup.gwa import _word_product
 from downup.sampling import random_element, rng_for
 
 from support import std_algebra, std_spec
@@ -43,6 +48,60 @@ def test_iterated_word_reduction():
         from_poly(apply_phi_power(spec, A.a, -1) * A.a)
     assert gwa_mul(A, basis_word(2), basis_word(3)) == basis_word(5)
     assert gwa_mul(A, basis_word(-1), basis_word(-4)) == basis_word(-5)
+
+
+def _letters(w):
+    return "x" * w if w > 0 else "y" * -w
+
+
+def test_word_memo_matches_a_fresh_algebra_and_the_oracle():
+    A = std_algebra()
+    rng = rng_for(15)
+    for _ in range(20):                     # warm the memo of A
+        gwa_mul(A, random_element(rng, max_weight=4),
+                random_element(rng, max_weight=4))
+    weights = range(-4, 5)
+    for m, n in product(weights, weights):
+        cold = GwaAlgebra(A.spec, A.g)
+        expected = oracle_normalize(cold, [(1, _letters(m) + _letters(n))])
+        assert gwa_mul(cold, basis_word(m), basis_word(n)) == expected, (m, n)
+        assert gwa_mul(A, basis_word(m), basis_word(n)) == expected, (m, n)
+
+
+def test_word_memo_is_kept_per_algebra():
+    A1 = GwaAlgebra(std_spec(), H)          # a = k + h
+    A2 = std_algebra()                      # same spec, a = k + g(h), g != h
+    assert A1.spec == A2.spec and A1.g != A2.g
+    for m, n in [(2, -1), (-3, 2), (1, -4), (2, -1), (-2, 3), (4, -4)]:
+        for A in (A1, A2, A1):
+            expected = oracle_normalize(A, [(1, _letters(m) + _letters(n))])
+            assert gwa_mul(A, basis_word(m), basis_word(n)) == expected, \
+                (A, m, n)
+    shared = set(A1.words) & set(A2.words)
+    assert shared
+    assert all(A1.words[key] != A2.words[key] for key in shared)
+
+
+def test_repeated_word_pair_applies_no_phi(monkeypatch):
+    A = GwaAlgebra(std_spec(), H)
+    calls = []
+
+    def counting(spec, p, e):
+        calls.append(e)
+        return apply_phi_power(spec, p, e)
+
+    monkeypatch.setattr(downup.gwa, "apply_phi_power", counting)
+    coeff, weight = _word_product(A, 2, -3)
+    assert calls == [2, 1] and weight == -1
+    assert coeff == apply_phi_power(A.spec, A.a, 2) * A.phi_a
+    # the coefficient depends on m and the number of cancelled pairs only
+    assert _word_product(A, 2, -3) == (coeff, -1)
+    assert _word_product(A, 2, -5) == (coeff, -3)
+    assert calls == [2, 1]
+    coeff, weight = _word_product(A, -2, 3)
+    assert calls == [2, 1, -1, 0] and weight == 1
+    assert _word_product(A, -2, 5) == (coeff, 3)
+    assert calls == [2, 1, -1, 0]
 
 
 def test_mixed_word_weight():
