@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, Scalar, _accumulate, _as_scalar, _signed_sum
+from .scalars import (ONE, ZERO, Scalar, _accumulate, _as_scalar, _padd,
+                      _signed_sum)
 
 
 class BiPoly:
@@ -25,10 +26,6 @@ class BiPoly:
                 _accumulate(clean, (i, j), c)
         self.terms = clean
         self._hash = None
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def one(cls):
@@ -70,10 +67,7 @@ class BiPoly:
         o = _as_bipoly(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in o.terms.items():
-            _accumulate(out, key, c)
-        return _raw(out)
+        return _raw(_padd(self.terms, o.terms))
 
     __radd__ = __add__
 
@@ -179,11 +173,6 @@ def _term_text(key, c):
     if c.needs_parens():
         ctext = "(" + ctext + ")"
     return ctext + "*" + body
-
-
-def support_of(p):
-    """The set of exponent pairs carrying nonzero coefficients."""
-    return frozenset(p.terms)
 
 
 def apply_phi_power(spec, p, w):

@@ -18,7 +18,7 @@ from .derivations import (CTypeSpec, NonInnerWitness, apply_derivation,
                           build_alpha_derivation, build_c_derivation,
                           index_sets_from_b, parse_derivation_spec,
                           solve_inner)
-from .expressions import parse_element, parse_scalar
+from .expressions import parse_bipoly, parse_element, parse_scalar
 from .gwa import gwa_mul
 from .oracle import oracle_normalize_text
 from .presentation import (DownUpPresentation, conformal_residue,
@@ -43,14 +43,21 @@ def _read_config(path):
     return values
 
 
+_OPTION_KEYS = ("d", "n1", "n2", "f", "seed", "samples", "format")
+
+
 def _merged_options(args):
-    merged = {}
-    if args.config:
-        merged.update(_read_config(args.config))
-    for key in ("d", "n1", "n2", "f", "seed", "samples", "format"):
+    merged = _read_config(args.config) if args.config else {}
+    unknown = sorted(set(merged) - set(_OPTION_KEYS))
+    if unknown:
+        raise ValueError("unknown config key %r" % unknown[0])
+    for key in _OPTION_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    if merged.get("format", "human") not in ("human", "structured"):
+        raise ValueError("format must be human or structured, got %r"
+                         % merged["format"])
     return merged
 
 
@@ -124,15 +131,15 @@ def cmd_indices(args, options):
 
 def cmd_conformal(args, options):
     pres, inputs = _presentation(options)
-    witness = solve_conformal(pres)
-    residue = conformal_residue(pres, witness)
-    ok = not residue and witness_support_matches(pres, witness)
+    g = solve_conformal(pres)
+    residue = conformal_residue(pres, g)
+    ok = not residue and witness_support_matches(pres, g)
     doc = {"command": "conformal",
            "inputs": inputs,
-           "result": {"g": str(witness.g)},
+           "result": {"g": str(g)},
            "witnesses": {"back_substitution": str(residue),
                          "support_matches": ok}}
-    return doc, ["g = %s" % witness.g], 0 if ok else 1
+    return doc, ["g = %s" % g], 0 if ok else 1
 
 
 def cmd_mul(args, options):
@@ -186,7 +193,7 @@ def cmd_derive(args, options):
 
 def cmd_inner(args, options):
     spec = _spec_from(options)
-    c0 = parse_derivation_spec("c0 = %s" % args.c0)
+    c0 = CTypeSpec(parse_bipoly(args.c0))
     solved = solve_inner(spec, c0)
     doc = {"command": "inner",
            "inputs": {"d": spec.d, "n1": spec.n1, "n2": spec.n2,

@@ -128,11 +128,6 @@ def index_sets_from_b(b1, b2):
             _solve_membership(b1, b2 + 1))
 
 
-def index_sets(spec):
-    """Index sets (I, J) of the parameter point."""
-    return index_sets_from_b(spec.b1, spec.b2)
-
-
 # ---------------------------------------------------------------------------
 # derivation data
 
@@ -421,7 +416,10 @@ def _parse_index_map(text, scalar_parser):
         key, sep, value = entry.partition(":")
         if not sep:
             raise ValueError("bad map entry %r" % entry)
-        out[int(key.strip())] = scalar_parser(value.strip())
+        index = int(key.strip())
+        if index in out:
+            raise ValueError("duplicate index %d" % index)
+        out[index] = scalar_parser(value.strip())
     return out
 
 

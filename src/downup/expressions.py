@@ -34,11 +34,13 @@ class ParseError(ValueError):
         self.position = position
 
 
+# each alphabet's generators, mapped to the weight of their basis word
+# (d and x are v_1, u and y are v_-1); None marks h and k
 _ALPHABETS = {
-    "du": ("d", "u", "h"),
-    "gwa": ("x", "y", "h", "k"),
-    "hk": ("h", "k"),
-    "scalar": (),
+    "du": {"d": 1, "u": -1, "h": None},
+    "gwa": {"x": 1, "y": -1, "h": None, "k": None},
+    "hk": {"h": None, "k": None},
+    "scalar": {},
 }
 
 
@@ -184,21 +186,19 @@ def _eval(node, leaf, mul, scalar_of):
     return out
 
 
-def eval_scalar(node):
+def parse_scalar(text):
     def leaf(n):
         # the scalar alphabet has no generators, so a leaf is int or z
         if n[0] == "int":
             return Scalar.from_rational(n[1])
         return Scalar.z_power(n[1])
 
-    return _eval(node, leaf, lambda a, b: a * b, lambda s: s)
+    return _eval(parse_expression(text, "scalar"), leaf, lambda a, b: a * b,
+                 lambda s: s)
 
 
-def parse_scalar(text):
-    return eval_scalar(parse_expression(text, "scalar"))
-
-
-def eval_bipoly(node):
+def parse_bipoly(text):
+    """Parse a polynomial in h and k."""
     def leaf(n):
         if n[0] == "int":
             return BiPoly.const(Scalar.from_rational(n[1]))
@@ -213,23 +213,14 @@ def eval_bipoly(node):
             raise ValueError("division by a non-scalar polynomial")
         return b.const_value()
 
-    return _eval(node, leaf, lambda a, b: a * b, scalar_of)
+    return _eval(parse_expression(text, "hk"), leaf, lambda a, b: a * b,
+                 scalar_of)
 
 
-def parse_bipoly(text):
-    """Parse a polynomial in h and k."""
-    return eval_bipoly(parse_expression(text, "hk"))
-
-
-_GEN_WORDS = {
-    "du": {"d": 1, "u": -1, "h": None},
-    "gwa": {"x": 1, "y": -1, "h": None, "k": None},
-}
-
-
-def eval_element(node, algebra, alphabet="gwa"):
-    _alphabet(alphabet)
-    words = _GEN_WORDS[alphabet]
+def parse_element(text, algebra, alphabet="gwa"):
+    """Parse and evaluate an element in the given algebra."""
+    node = parse_expression(text, alphabet)
+    words = _ALPHABETS[alphabet]
 
     def leaf(n):
         if n[0] == "int":
@@ -248,8 +239,3 @@ def eval_element(node, algebra, alphabet="gwa"):
         return b.as_poly().const_value()
 
     return _eval(node, leaf, lambda a, b: gwa_mul(algebra, a, b), scalar_of)
-
-
-def parse_element(text, algebra, alphabet="gwa"):
-    """Parse and evaluate an element in the given algebra."""
-    return eval_element(parse_expression(text, alphabet), algebra, alphabet)

@@ -14,7 +14,7 @@ chain of the two defining rewrites.
 from __future__ import annotations
 
 from .bipoly import BiPoly, apply_phi_power, _as_bipoly
-from .scalars import Scalar, _accumulate, _as_scalar, _signed_sum
+from .scalars import Scalar, _accumulate, _as_scalar, _padd, _signed_sum
 
 
 class GwaElement:
@@ -31,10 +31,6 @@ class GwaElement:
         self.components = clean
         self._hash = None
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def weights(self):
         return sorted(self.components)
 
@@ -50,10 +46,7 @@ class GwaElement:
         o = _as_element(other)
         if o is None:
             return NotImplemented
-        out = dict(self.components)
-        for w, p in o.components.items():
-            _accumulate(out, w, p)
-        return _raw(out)
+        return _raw(_padd(self.components, o.components))
 
     __radd__ = __add__
 
@@ -159,20 +152,6 @@ class GwaAlgebra:
         self.a = BiPoly.var_k() + g
         self.phi_a = apply_phi_power(spec, self.a, 1)
         self.words = {}
-
-    def x(self):
-        return basis_word(1)
-
-    def y(self):
-        return basis_word(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, GwaAlgebra):
-            return NotImplemented
-        return self.spec == other.spec and self.g == other.g
-
-    def __hash__(self):
-        return hash((self.spec, self.g))
 
     def __repr__(self):
         return "GwaAlgebra(d=%d, n1=%d, n2=%d, g=%s)" % (

@@ -9,17 +9,9 @@ the defining polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bipoly import BiPoly
 from .gwa import GwaElement
 from .scalars import ZERO, Scalar
-
-
-@dataclass(frozen=True)
-class FreeWord:
-    coeff: Scalar
-    letters: tuple
 
 
 _LETTERS = ("x", "y", "h", "k")
@@ -67,15 +59,11 @@ def _rewrite(algebra, coeff, letters, t):
 def oracle_normalize(algebra, terms, strategy="leftmost"):
     """Rewrite a combination of free words to a GwaElement.
 
-    Accepts FreeWord instances or (coeff, letters) pairs.  Words longer
-    than MAX_LENGTH are refused up front.
+    Takes (coeff, letters) pairs.  Words longer than MAX_LENGTH are
+    refused up front.
     """
     stack = []
-    for term in terms:
-        if isinstance(term, FreeWord):
-            coeff, letters = term.coeff, term.letters
-        else:
-            coeff, letters = term
+    for coeff, letters in terms:
         coeff = coeff if isinstance(coeff, Scalar) else Scalar.from_rational(coeff)
         letters = tuple(letters)
         for ch in letters:

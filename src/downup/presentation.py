@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bipoly import BiPoly, apply_phi_power, support_of
+from .bipoly import BiPoly, apply_phi_power
 from .expressions import parse_element
 from .gwa import GwaAlgebra, basis_word, from_poly, gwa_mul
 from .scalars import ParameterError, Scalar
@@ -37,14 +37,8 @@ class DownUpPresentation:
         return cls(spec, BiPoly(terms))
 
 
-@dataclass(frozen=True)
-class ConformalWitness:
-    """The solved g; degree and support match f term by term."""
-    g: BiPoly
-
-
 def solve_conformal(pres):
-    """Solve f(X) = s*g(X) - g(r*X) degree by degree.
+    """Solve f(X) = s*g(X) - g(r*X) degree by degree and return g.
 
     Each coefficient divides by s - r^i, which is nonzero at every
     admissible parameter point; the guard names the degree otherwise.
@@ -56,13 +50,13 @@ def solve_conformal(pres):
         if not denom:
             raise ParameterError("not conformal at degree %d" % i)
         terms[(i, 0)] = c / denom
-    return ConformalWitness(BiPoly(terms))
+    return BiPoly(terms)
 
 
 @lru_cache(maxsize=None)
 def gwa_algebra(pres):
     """The weighted normal form determined by the presentation."""
-    return GwaAlgebra(pres.spec, solve_conformal(pres).g)
+    return GwaAlgebra(pres.spec, solve_conformal(pres))
 
 
 def translate_to_gwa(pres, text):
@@ -86,12 +80,13 @@ def relation_residues(pres):
     }
 
 
-def conformal_residue(pres, witness):
-    """f(X) - (s*g(X) - g(r*X)); zero exactly when the witness solves it."""
+def conformal_residue(pres, g):
+    """f(X) - (s*g(X) - g(r*X)); zero exactly when g solves it."""
     spec = pres.spec
-    sg = witness.g * Scalar.z_power(spec.d)
-    return pres.f - (sg - apply_phi_power(spec, witness.g, 1))
+    sg = g * Scalar.z_power(spec.d)
+    return pres.f - (sg - apply_phi_power(spec, g, 1))
 
 
-def witness_support_matches(pres, witness):
-    return support_of(pres.f) == support_of(witness.g)
+def witness_support_matches(pres, g):
+    """Whether g has nonzero coefficients in exactly the degrees f has."""
+    return pres.f.terms.keys() == g.terms.keys()

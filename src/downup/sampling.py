@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .bipoly import BiPoly
 from .derivations import (CTypeSpec, build_alpha_derivation,
                           build_c_derivation, combine, coupled_alpha_spec,
-                          index_sets)
+                          index_sets_from_b)
 from .gwa import GwaElement
 from .scalars import ZERO, Scalar, validate_param_spec
-
-
-def rng_for(seed):
-    return random.Random(seed)
 
 
 def random_rational(rng, bound=5, nonzero=False):
@@ -82,7 +77,7 @@ def random_c_spec(rng, max_degree=3):
 def random_alpha_spec(rng, spec, w, index_bound=8):
     """A coupled alpha table at weight w, or None when the h index set
     offers no index >= 1 below the bound."""
-    i_set, _ = index_sets(spec)
+    i_set, _ = index_sets_from_b(spec.b1, spec.b2)
     options = [i for i in i_set.members_up_to(index_bound) if i >= 1]
     if not options:
         return None

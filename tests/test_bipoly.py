@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from downup import (BiPoly, Scalar, apply_phi_power, diff_h,
-                    exact_divide_by_a, support_of, validate_param_spec)
-from downup.sampling import random_bipoly, rng_for
+                    exact_divide_by_a, validate_param_spec)
+from downup.sampling import random_bipoly
 
 H = BiPoly.var_h()
 K = BiPoly.var_k()
@@ -16,21 +18,15 @@ def test_monomial_product():
 
 def test_additive_identity():
     p = H * 3 + K ** 2
-    assert p + BiPoly.zero() == p
-    assert p - p == BiPoly.zero()
+    assert p + BiPoly() == p
+    assert p - p == BiPoly()
 
 
 def test_zero_coefficients_never_stored():
     p = BiPoly({(1, 0): Scalar({}), (0, 1): ONE})
-    assert support_of(p) == {(0, 1)}
+    assert set(p.terms) == {(0, 1)}
     q = H + (-1) * H
     assert not q.terms
-
-
-def test_support_examples():
-    assert support_of(BiPoly.monomial(2, 1, ONE)) == {(2, 1)}
-    assert support_of(BiPoly.zero()) == frozenset()
-    assert support_of(H ** 2 + K) == {(2, 0), (0, 1)}
 
 
 def test_phi_scales_each_monomial():
@@ -43,7 +39,7 @@ def test_phi_scales_each_monomial():
 def test_phi_closed_form_matches_iterated_single_steps():
     # independent route: apply the one-step map six times
     spec = validate_param_spec(2, 3, 5)
-    rng = rng_for(3)
+    rng = random.Random(3)
     for _ in range(25):
         p = random_bipoly(rng)
         step = p
@@ -57,7 +53,7 @@ def test_phi_closed_form_matches_iterated_single_steps():
 
 def test_phi_is_multiplicative():
     spec = validate_param_spec(3, -2, 4)
-    rng = rng_for(4)
+    rng = random.Random(4)
     for _ in range(100):
         p = random_bipoly(rng)
         q = random_bipoly(rng)
@@ -77,7 +73,7 @@ def test_exact_division_examples():
 
 
 def test_exact_division_multiply_back():
-    rng = rng_for(5)
+    rng = random.Random(5)
     for _ in range(50):
         g = BiPoly({(i, 0): c for (i, _), c in
                     random_bipoly(rng, max_degree=3).terms.items()})
@@ -95,7 +91,7 @@ def test_division_requires_h_only_divisor():
 
 def test_diff_h():
     assert diff_h(H ** 3 + K) == H ** 2 * 3
-    assert diff_h(BiPoly.one()) == BiPoly.zero()
+    assert diff_h(BiPoly.one()) == BiPoly()
 
 
 def test_negative_exponents_rejected():
@@ -104,7 +100,7 @@ def test_negative_exponents_rejected():
 
 
 def test_ring_axioms_random():
-    rng = rng_for(6)
+    rng = random.Random(6)
     for _ in range(100):
         p = random_bipoly(rng)
         q = random_bipoly(rng)
@@ -121,5 +117,5 @@ def test_text_form():
     assert str(q) == "-k + 2*z^2*h"
     multi = H * (Scalar.z_power(1) + ONE)
     assert str(multi) == "(z + 1)*h"
-    assert str(BiPoly.zero()) == "0"
+    assert str(BiPoly()) == "0"
     assert str(H * K - 1) == "-1 + h*k"

@@ -196,6 +196,13 @@ def test_derive_rejects_uncoupled_values(capsys):
     assert "error:" in err and "hk = kh" in err
 
 
+def test_derive_rejects_duplicate_index(capsys):
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "derive", "--derivation",
+                         "w = 1; alpha_h = {1: 1, 1: 2}", "h")
+    assert (code, out, err) == (2, "", "error: duplicate index 1\n")
+
+
 def test_inner_witness(capsys):
     code, out, err = run(capsys, "--d", "1", "--n1", "2", "--n2", "5",
                          "inner", "--c0", "h*k^3")
@@ -209,6 +216,14 @@ def test_inner_solution(capsys):
     assert code == 0
     assert doc["result"] == "1/(z^5 - z^2)*h"
     assert doc["witnesses"]["back_substitution"] == "0"
+
+
+def test_inner_parses_c0_as_a_polynomial(capsys):
+    # --c0 is a polynomial in h, k, not a line of the derivation grammar
+    code, out, err = run(capsys, "--d", "1", "--n1", "2", "--n2", "5",
+                         "inner", "--c0", "h; w = 1")
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected character ';' at position 1\n"
 
 
 def test_verify_spec_free(capsys):
@@ -273,6 +288,17 @@ def test_bad_config_line(tmp_path, capsys):
     cfg.write_text("d: 1\n")
     code, out, err = run(capsys, "--config", str(cfg), "verify", "field")
     assert code == 2 and "bad config line" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("sampels = 5", "unknown config key 'sampels'"),
+    ("format = json", "format must be human or structured, got 'json'"),
+], ids=["unknown-key", "bad-format"])
+def test_config_rejects_unknown_settings(tmp_path, capsys, line, message):
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text("d = 1\nn1 = 3\nn2 = 2\n%s\n" % line)
+    code, out, err = run(capsys, "--config", str(cfg), "indices")
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_error_reporting(capsys):
@@ -351,3 +377,18 @@ README_EXAMPLES = readme_examples()
 def test_readme_examples(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, expected, "")
+
+
+GOLDEN = Path(__file__).resolve().with_name("cli_golden.json")
+
+
+def test_golden_outputs(capsys):
+    """Replay the recorded commands, each in human and structured form:
+    stdout, stderr and the exit code must match byte for byte."""
+    cases = json.loads(GOLDEN.read_text())
+    start = time.perf_counter()
+    for case in cases:
+        got = run(capsys, *case["args"])
+        assert got == (case["code"], case["stdout"], case["stderr"]), \
+            shlex.join(case["args"])
+    assert time.perf_counter() - start < 3.0
