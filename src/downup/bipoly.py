@@ -1,7 +1,7 @@
 """Sparse polynomials in the commuting pair h, k over the scalar field.
 
-Terms are keyed by exponent pairs (i, j); zero coefficients are never
-stored, so equality is dictionary equality.
+Terms are keyed by exponent pairs (i, j).  The linear structure lives in
+_Sparse, the one finite-sum type, which GwaElement shares.
 """
 
 from __future__ import annotations
@@ -9,11 +9,75 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import (ONE, ZERO, Scalar, _accumulate, _as_scalar, _padd,
-                      _signed_sum)
+                      _signed_sum, _times_text, _to_scalar)
 
 
-class BiPoly:
+class _Sparse:
+    """A finite sum: a map from keys to coefficients that never holds a
+    zero, so == is dict equality.  Subclasses give the keys a meaning and
+    supply _coerce, which makes an operand a sum of the same kind or None."""
+
     __slots__ = ("terms", "_hash")
+
+    @classmethod
+    def _raw(cls, terms):
+        # arithmetic's constructor: the map already holds no zero
+        s = cls.__new__(cls)
+        s.terms = terms
+        s._hash = None
+        return s
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._raw(_padd(self.terms, o.terms))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._raw({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def _scale(self, other):
+        c = _as_scalar(other)
+        if c is None:
+            return NotImplemented
+        if not c:
+            return self._raw({})
+        return self._raw({key: v * c for key, v in self.terms.items()})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.terms == o.terms
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+class BiPoly(_Sparse):
+    __slots__ = ()
 
     def __init__(self, terms=None):
         clean = {}
@@ -22,10 +86,16 @@ class BiPoly:
             for (i, j), c in items:
                 if i < 0 or j < 0:
                     raise ValueError("negative exponent (%d, %d)" % (i, j))
-                c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
-                _accumulate(clean, (i, j), c)
+                _accumulate(clean, (i, j), _to_scalar(c))
         self.terms = clean
         self._hash = None
+
+    @classmethod
+    def _coerce(cls, x):
+        if isinstance(x, BiPoly):
+            return x
+        c = _as_scalar(x)
+        return None if c is None else cls.const(c)
 
     @classmethod
     def one(cls):
@@ -61,47 +131,22 @@ class BiPoly:
             raise ValueError("not a scalar polynomial")
         return self.terms.get((0, 0), ZERO)
 
+    def needs_parens(self):
+        # true when embedding the printed form in a product would re-associate
+        return len(self.terms) > 1 or self.terms.get((0, 0), ONE).needs_parens()
+
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
-        o = _as_bipoly(other)
-        if o is None:
-            return NotImplemented
-        return _raw(_padd(self.terms, o.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _raw({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = _as_bipoly(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = _as_bipoly(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
-        if isinstance(other, BiPoly):
-            out = {}
-            for (i1, j1), c1 in self.terms.items():
-                for (i2, j2), c2 in other.terms.items():
-                    _accumulate(out, (i1 + i2, j1 + j2), c1 * c2)
-            return _raw(out)
-        c = _as_scalar(other)
-        if c is None:
-            return NotImplemented
-        if not c:
-            return BiPoly()
-        return _raw({key: v * c for key, v in self.terms.items()})
+        if not isinstance(other, BiPoly):
+            return self._scale(other)
+        out = {}
+        for (i1, j1), c1 in self.terms.items():
+            for (i2, j2), c2 in other.terms.items():
+                _accumulate(out, (i1 + i2, j1 + j2), c1 * c2)
+        return BiPoly._raw(out)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         c = _as_scalar(other)
@@ -117,62 +162,18 @@ class BiPoly:
             out = out * self
         return out
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        o = _as_bipoly(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
-
     def __str__(self):
-        return _signed_sum([_term_text(key, c)
-                            for key, c in sorted(self.terms.items())])
-
-    def __repr__(self):
-        return "BiPoly(%s)" % self
+        return _signed_sum([_times_text(c, _monomial_text(i, j))
+                            for (i, j), c in sorted(self.terms.items())])
 
 
-def _raw(terms):
-    p = BiPoly.__new__(BiPoly)
-    p.terms = terms
-    p._hash = None
-    return p
-
-
-def _as_bipoly(x):
-    if isinstance(x, BiPoly):
-        return x
-    c = _as_scalar(x)
-    if c is None:
-        return None
-    return BiPoly.const(c) if c else BiPoly()
-
-
-def _term_text(key, c):
-    i, j = key
+def _monomial_text(i, j):
     vars_ = []
     if i:
         vars_.append("h" if i == 1 else "h^%d" % i)
     if j:
         vars_.append("k" if j == 1 else "k^%d" % j)
-    if not vars_:
-        return str(c)
-    body = "*".join(vars_)
-    if c == ONE:
-        return body
-    if c == -ONE:
-        return "-" + body
-    ctext = str(c)
-    if c.needs_parens():
-        ctext = "(" + ctext + ")"
-    return ctext + "*" + body
+    return "*".join(vars_)
 
 
 def apply_phi_power(spec, p, w):
@@ -184,8 +185,9 @@ def apply_phi_power(spec, p, w):
     w = int(w)
     if w == 0:
         return p
-    return _raw({(i, j): c * Scalar.z_power(w * (spec.n1 * i + spec.d * j))
-                 for (i, j), c in p.terms.items()})
+    return BiPoly._raw({
+        (i, j): c * Scalar.z_power(w * (spec.n1 * i + spec.d * j))
+        for (i, j), c in p.terms.items()})
 
 
 def diff_h(p):
@@ -194,7 +196,7 @@ def diff_h(p):
     for (i, j), c in p.terms.items():
         if i:
             out[(i - 1, j)] = c * Fraction(i)
-    return _raw(out)
+    return BiPoly._raw(out)
 
 
 def exact_divide_by_a(p, g):
@@ -211,7 +213,8 @@ def exact_divide_by_a(p, g):
         m = rem.degree_k()
         if m < 1:
             break
-        lead = _raw({(i, m - 1): c for (i, j), c in rem.terms.items() if j == m})
+        lead = BiPoly._raw({(i, m - 1): c for (i, j), c in rem.terms.items()
+                            if j == m})
         quo = quo + lead
         # lead*k cancels the whole top layer; lead*g refills one layer down
         rem = rem - lead * (BiPoly.var_k() + g)

@@ -39,7 +39,10 @@ def _read_config(path):
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError("bad config line %r" % raw.strip())
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise ValueError("duplicate config key %r" % key)
+            values[key] = value.strip()
     return values
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, apply_phi_power, diff_h, exact_divide_by_a
 from .gwa import GwaElement, apply_sigma_mu, basis_word, from_poly, gwa_mul
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _to_scalar
 
 
 class DerivationError(ValueError):
@@ -183,9 +183,9 @@ def _on_poly(spec, dh, dk, p):
     at each weight w: the h factor passes phi^w across the k block, paid
     for by the two q-brackets."""
     out = {}
-    for w in set(dh.components) | set(dk.components):
-        alpha_h = dh.components.get(w, BiPoly())
-        alpha_k = dk.components.get(w, BiPoly())
+    for w in set(dh.terms) | set(dk.terms):
+        alpha_h = dh.terms.get(w, BiPoly())
+        alpha_k = dk.terms.get(w, BiPoly())
         base = BiPoly()
         for (a, c), coeff in p.terms.items():
             if a:
@@ -227,7 +227,7 @@ def _alpha_value_polys(spec, aspec):
                                 ("k", "m", aspec.coeffs_k)):
         terms = {}
         for t, c in coeffs.items():
-            c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
+            c = _to_scalar(c)
             if not c:
                 continue
             e = _alpha_exponent(spec, which, t)
@@ -268,11 +268,11 @@ def build_alpha_derivation(spec, g, aspec):
     # the other generator's value is D(a) or D(phi(a)) moved one word over
     a = BiPoly.var_k() + g
     if w > 0:
-        base = _on_poly(spec, dh, dk, a).components.get(w, BiPoly())
+        base = _on_poly(spec, dh, dk, a).terms.get(w, BiPoly())
         dx, dy = GwaElement(), GwaElement({w - 1: base * spec.mu})
     else:
         phi_a = apply_phi_power(spec, a, 1)
-        base = _on_poly(spec, dh, dk, phi_a).components.get(w, BiPoly())
+        base = _on_poly(spec, dh, dk, phi_a).terms.get(w, BiPoly())
         dx, dy = GwaElement({w + 1: base * spec.mu_inv}), GwaElement()
     return Derivation(spec, g, [w], dx, dy, dh, dk)
 
@@ -294,7 +294,7 @@ def coupled_alpha_spec(spec, w, h_coeffs):
         if i < 1:
             raise DerivationError(
                 "support violation: i=%d has no coupling partner" % i)
-        c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
+        c = _to_scalar(c)
         if not c:
             continue
         coeffs_h[i] = c
@@ -329,7 +329,7 @@ def apply_derivation(algebra, deriv, u):
         raise DerivationError(
             "derivation was built over a different conformal polynomial")
     total = GwaElement()
-    for w, p in u.components.items():
+    for w, p in u.terms.items():
         dp = _on_poly(algebra.spec, deriv.dh, deriv.dk, p)
         if dp:
             total = total + gwa_mul(algebra, dp,
@@ -347,7 +347,7 @@ def combine(parts):
     weights = []
     dx = dy = dh = dk = GwaElement()
     for c, deriv in parts:
-        c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
+        c = _to_scalar(c)
         if spec is None:
             spec = deriv.spec
         elif deriv.spec != spec:

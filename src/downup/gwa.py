@@ -13,129 +13,61 @@ chain of the two defining rewrites.
 
 from __future__ import annotations
 
-from .bipoly import BiPoly, apply_phi_power, _as_bipoly
-from .scalars import Scalar, _accumulate, _as_scalar, _padd, _signed_sum
+from .bipoly import BiPoly, _Sparse, apply_phi_power
+from .scalars import Scalar, _accumulate, _signed_sum, _times_text
 
 
-class GwaElement:
-    __slots__ = ("components", "_hash")
+class GwaElement(_Sparse):
+    """A finite sum of p_w * v_w, keyed by the weight w."""
+
+    __slots__ = ()
 
     def __init__(self, components=None):
         clean = {}
         if components:
             for w, p in components.items():
-                if not isinstance(p, BiPoly):
-                    p = _as_bipoly(p)
+                p = p if isinstance(p, BiPoly) else BiPoly.const(p)
                 if p:
                     clean[int(w)] = p
-        self.components = clean
+        self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _coerce(cls, x):
+        if isinstance(x, GwaElement):
+            return x
+        p = BiPoly._coerce(x)
+        return None if p is None else from_poly(p)
+
+    @property
+    def components(self):
+        return self.terms
+
     def weights(self):
-        return sorted(self.components)
+        return sorted(self.terms)
 
     def is_poly(self):
-        return set(self.components) <= {0}
+        return set(self.terms) <= {0}
 
     def as_poly(self):
         if not self.is_poly():
             raise ValueError("element has nonzero weights")
-        return self.components.get(0, BiPoly())
+        return self.terms.get(0, BiPoly())
 
-    def __add__(self, other):
-        o = _as_element(other)
-        if o is None:
-            return NotImplemented
-        return _raw(_padd(self.components, o.components))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _raw({w: -p for w, p in self.components.items()})
-
-    def __sub__(self, other):
-        o = _as_element(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = _as_element(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        # scaling only; products of elements go through gwa_mul(A, u, v)
-        c = _as_scalar(other)
-        if c is None:
-            return NotImplemented
-        if not c:
-            return GwaElement()
-        return _raw({w: p * c for w, p in self.components.items()})
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.components)
-
-    def __eq__(self, other):
-        o = _as_element(other)
-        if o is None:
-            return NotImplemented
-        return self.components == o.components
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.components.items()))
-        return self._hash
+    # scaling only; products of elements go through gwa_mul(A, u, v)
+    __mul__ = __rmul__ = _Sparse._scale
 
     def __str__(self):
-        parts = []
-        for w in self.weights():
-            p = self.components[w]
-            if w == 0:
-                parts.append(str(p))
-                continue
-            word = _word_text(w)
-            ptext = str(p)
-            if len(p.terms) > 1 or (set(p.terms) == {(0, 0)}
-                                    and p.terms[(0, 0)].needs_parens()):
-                ptext = "(" + ptext + ")"
-            if p == BiPoly.one():
-                parts.append(word)
-            elif p == -BiPoly.one():
-                parts.append("-" + word)
-            else:
-                parts.append(ptext + "*" + word)
-        return _signed_sum(parts)
-
-    def __repr__(self):
-        return "GwaElement(%s)" % self
+        return _signed_sum([_times_text(self.terms[w], _word_text(w))
+                            for w in self.weights()])
 
 
 def _word_text(w):
+    if w == 0:
+        return ""
     if w > 0:
         return "x" if w == 1 else "x^%d" % w
     return "y" if w == -1 else "y^%d" % (-w)
-
-
-def _raw(components):
-    e = GwaElement.__new__(GwaElement)
-    e.components = components
-    e._hash = None
-    return e
-
-
-def _as_element(x):
-    if isinstance(x, GwaElement):
-        return x
-    if isinstance(x, BiPoly):
-        return from_poly(x)
-    c = _as_scalar(x)
-    if c is None:
-        return None
-    return from_poly(BiPoly.const(c))
 
 
 class GwaAlgebra:
@@ -160,12 +92,12 @@ class GwaAlgebra:
 
 def basis_word(w):
     """The basis word v_w as an element (v_0 = 1)."""
-    return _raw({int(w): BiPoly.one()})
+    return GwaElement._raw({int(w): BiPoly.one()})
 
 
 def from_poly(p):
     """Embed a polynomial as the weight-zero component."""
-    return _raw({0: p}) if p else GwaElement()
+    return GwaElement._raw({0: p}) if p else GwaElement()
 
 
 def _word_product(A, m, n):
@@ -199,11 +131,11 @@ def gwa_mul(A, u, v):
     (p v_m)(q v_n) = p phi^m(q) (v_m v_n).
     """
     out = {}
-    for m, p in u.components.items():
-        for n, q in v.components.items():
+    for m, p in u.terms.items():
+        for n, q in v.terms.items():
             coeff, w = _word_product(A, m, n)
             _accumulate(out, w, p * apply_phi_power(A.spec, q, m) * coeff)
-    return _raw(out)
+    return GwaElement._raw(out)
 
 
 def apply_sigma_mu(A, u, power=1):
@@ -213,5 +145,5 @@ def apply_sigma_mu(A, u, power=1):
     powers compose the closed form.
     """
     n2 = A.spec.n2 * int(power)
-    return _raw({w: p * Scalar.z_power(n2 * w)
-                 for w, p in u.components.items()})
+    return GwaElement._raw({w: p * Scalar.z_power(n2 * w)
+                 for w, p in u.terms.items()})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .bipoly import BiPoly
 from .gwa import GwaElement
-from .scalars import ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _to_scalar
 
 
 _LETTERS = ("x", "y", "h", "k")
@@ -64,7 +64,7 @@ def oracle_normalize(algebra, terms, strategy="leftmost"):
     """
     stack = []
     for coeff, letters in terms:
-        coeff = coeff if isinstance(coeff, Scalar) else Scalar.from_rational(coeff)
+        coeff = _to_scalar(coeff)
         letters = tuple(letters)
         for ch in letters:
             if ch not in _LETTERS:
@@ -112,7 +112,7 @@ def free_expand(node):
         # refuse an over-long power before building its letters
         if node[2] > MAX_LENGTH:
             raise ValueError("length bound exceeded")
-        return {(node[1],) * node[2]: Scalar.from_rational(1)}
+        return {(node[1],) * node[2]: ONE}
     if op not in ("sum", "product"):
         raise ValueError("bad node %r" % (op,))
     out = None

@@ -14,7 +14,7 @@ from functools import lru_cache
 from .bipoly import BiPoly, apply_phi_power
 from .expressions import parse_element
 from .gwa import GwaAlgebra, basis_word, from_poly, gwa_mul
-from .scalars import ParameterError, Scalar
+from .scalars import ParameterError, Scalar, _to_scalar
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class DownUpPresentation:
         """Build from the dense coefficient list [f_0, f_1, ...]."""
         terms = {}
         for i, c in enumerate(coeffs):
-            c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
+            c = _to_scalar(c)
             if c:
                 terms[(i, 0)] = c
         return cls(spec, BiPoly(terms))

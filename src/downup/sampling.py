@@ -9,7 +9,7 @@ from .derivations import (CTypeSpec, build_alpha_derivation,
                           build_c_derivation, combine, coupled_alpha_spec,
                           index_sets_from_b)
 from .gwa import GwaElement
-from .scalars import ZERO, Scalar, validate_param_spec
+from .scalars import ONE, ZERO, Scalar, validate_param_spec
 
 
 def random_rational(rng, bound=5, nonzero=False):
@@ -39,8 +39,7 @@ def random_bipoly(rng, max_degree=3, max_terms=3, nonzero=False, **scalar_kw):
         terms[key] = random_scalar(rng, **scalar_kw)
     p = BiPoly(terms)
     if nonzero and not p:
-        return BiPoly.monomial(rng.randint(0, max_degree), 0,
-                               Scalar.from_rational(1))
+        return BiPoly.monomial(rng.randint(0, max_degree), 0, ONE)
     return p
 
 

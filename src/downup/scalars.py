@@ -156,6 +156,8 @@ class Scalar:
 
     @classmethod
     def from_rational(cls, q):
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError("not an exact rational: %r" % (q,))
         q = Fraction(q)
         return _raw({0: q} if q else {})
 
@@ -278,6 +280,27 @@ def _as_scalar(x):
     if isinstance(x, (int, Fraction)):
         return Scalar.from_rational(x)
     return None
+
+
+def _to_scalar(x):
+    # a caller's coefficient: exact values only, anything else is refused
+    c = _as_scalar(x)
+    if c is None:
+        raise TypeError("not an exact coefficient: %r" % (x,))
+    return c
+
+
+def _times_text(c, body):
+    # one printed term: c alone, body, -body or c*body; c prints in
+    # parentheses when the product would re-associate it
+    if not body:
+        return str(c)
+    if c == ONE:
+        return body
+    if c == -ONE:
+        return "-" + body
+    text = str(c)
+    return ("(%s)" % text if c.needs_parens() else text) + "*" + body
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .oracle import oracle_normalize
 from .presentation import (DownUpPresentation, conformal_residue, gwa_algebra,
                            relation_residues, solve_conformal,
                            witness_support_matches)
-from .scalars import ZERO, Scalar, validate_param_spec
+from .scalars import ONE, ZERO, Scalar, validate_param_spec
 
 
 @dataclass
@@ -76,7 +76,7 @@ def suite_field(ctx):
               and a * (b + c) == a * b + a * c
               and a + b == b + a
               and a - a == ZERO
-              and c * c.inverse() == Scalar.from_rational(1))
+              and c * c.inverse() == ONE)
         res.check(ok, lambda: "sample %d: (%s, %s, %s)" % (n, a, b, c))
     return res
 
@@ -155,19 +155,18 @@ def suite_oracle(ctx):
             out = gwa_mul(algebra, out, parse_element(ch, algebra))
         return out
 
-    one = Scalar.from_rational(1)
     for word in words:
-        left = oracle_normalize(algebra, [(one, word)])
-        right = oracle_normalize(algebra, [(one, word)], strategy="rightmost")
+        left = oracle_normalize(algebra, [(ONE, word)])
+        right = oracle_normalize(algebra, [(ONE, word)], strategy="rightmost")
         res.check(left == eval_word(word) and left == right,
                   lambda: "word %s" % "".join(word))
     for w1, w2 in product(words, repeat=2):
         if len(w1) + len(w2) > 4:
             continue
-        direct = oracle_normalize(algebra, [(one, w1 + w2)])
+        direct = oracle_normalize(algebra, [(ONE, w1 + w2)])
         split = gwa_mul(algebra,
-                        oracle_normalize(algebra, [(one, w1)]),
-                        oracle_normalize(algebra, [(one, w2)]))
+                        oracle_normalize(algebra, [(ONE, w1)]),
+                        oracle_normalize(algebra, [(ONE, w2)]))
         res.check(direct == split, lambda: "pair %s|%s" % ("".join(w1), "".join(w2)))
     return res
 

@@ -293,7 +293,8 @@ def test_bad_config_line(tmp_path, capsys):
 @pytest.mark.parametrize("line, message", [
     ("sampels = 5", "unknown config key 'sampels'"),
     ("format = json", "format must be human or structured, got 'json'"),
-], ids=["unknown-key", "bad-format"])
+    ("n2 = 5", "duplicate config key 'n2'"),
+], ids=["unknown-key", "bad-format", "duplicate-key"])
 def test_config_rejects_unknown_settings(tmp_path, capsys, line, message):
     cfg = tmp_path / "point.cfg"
     cfg.write_text("d = 1\nn1 = 3\nn2 = 2\n%s\n" % line)

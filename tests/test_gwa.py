@@ -1,12 +1,14 @@
 import random
+import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import downup.gwa
-from downup import (BiPoly, GwaAlgebra, GwaElement, Scalar, apply_phi_power,
-                    apply_sigma_mu, basis_word, from_poly, gwa_mul,
-                    oracle_normalize)
+from downup import (BiPoly, DownUpPresentation, GwaAlgebra, GwaElement, Scalar,
+                    apply_phi_power, apply_sigma_mu, basis_word, from_poly,
+                    gwa_mul, oracle_normalize)
 from downup.gwa import _word_product
 from downup.sampling import random_element
 
@@ -181,8 +183,8 @@ def test_grading_under_products():
     for _ in range(40):
         u = random_element(rng)
         v = random_element(rng)
-        allowed = {m + n for m in u.components for n in v.components}
-        assert set(gwa_mul(A, u, v).components) <= allowed
+        allowed = {m + n for m in u.terms for n in v.terms}
+        assert set(gwa_mul(A, u, v).terms) <= allowed
 
 
 def test_algebra_construction_guards():
@@ -198,3 +200,46 @@ def test_text_form():
     assert str(basis_word(-2)) == "y^2"
     assert str(GwaElement()) == "0"
     assert str(basis_word(1) - basis_word(-1)) == "-y + x"
+
+
+def test_mixed_operands():
+    # BiPoly and GwaElement share one operator protocol: scalars and
+    # polynomials combine with them from either side
+    z = Scalar.z_power(1)
+    half = Fraction(1, 2)
+    p = H + 1
+    assert 2 - p == BiPoly({(0, 0): 1, (1, 0): -1})
+    assert half + p == p + half == BiPoly({(0, 0): Fraction(3, 2), (1, 0): 1})
+    assert z + p == p + z == BiPoly({(0, 0): z + 1, (1, 0): 1})
+    e = from_poly(H) + basis_word(1)
+    assert 2 - e == GwaElement({0: 2 - H, 1: -1})
+    assert half + e == e + half == GwaElement({0: H + half, 1: 1})
+    assert z + e == e + z == GwaElement({0: H + z, 1: 1})
+    x = basis_word(1)
+    assert H + x == x + H == GwaElement({0: H, 1: 1})
+    assert type(H + x) is GwaElement and type(x + H) is GwaElement
+    assert BiPoly() == 0 and GwaElement() == 0
+    for u, v in ((p, K * z), (e, basis_word(-1) * z)):
+        assert hash(u + v) == hash(v + u)
+        assert -(-u) == u
+    assert repr(p) == "BiPoly(1 + h)"
+    assert repr(e) == "GwaElement(h + x)"
+    with pytest.raises(TypeError):
+        x * x
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: GwaElement({1: "x"}), "'x'"),
+    (lambda: GwaElement({1: 0.5}), "0.5"),
+    (lambda: GwaElement({1: None}), "None"),
+    (lambda: BiPoly({(0, 0): 0.1}), "0.1"),
+    (lambda: Scalar.from_rational(0.1), "0.1"),
+    (lambda: Scalar.from_rational("1/2"), "'1/2'"),
+    (lambda: DownUpPresentation.from_coefficients(std_spec(), [0, 0.5]),
+     "0.5"),
+    (lambda: oracle_normalize(std_algebra(), [(0.5, "xy")]), "0.5"),
+], ids=["element-str", "element-float", "element-none", "bipoly-float",
+        "scalar-float", "scalar-str", "presentation-float", "oracle-float"])
+def test_only_exact_coefficients(build, value):
+    with pytest.raises(TypeError, match="^not an exact .*: %s$" % re.escape(value)):
+        build()
