@@ -10,21 +10,27 @@ Two elementary families:
     from the two index-set families, with x or y (by the sign of w)
     sent to zero.
 
-Everything extends by the twisted Leibniz rule
+The coupling of an alpha-type table makes h divide alpha(h), and the
+derivation is then the inner one u -> b sigma_mu(u) - u b for
+b = alpha(h)/((r^w - 1) h) * v_w, whose monomials meet the I index
+condition, so it kills x (w > 0) or y (w < 0).  A derivation is
+therefore stored as its c-type part c0 plus an inner element b, and
+the twisted Leibniz rule
     D(a*b) = D(a) sigma_mu(b) + a D(b)
-along factorizations into generators; the test suites confirm the
-answer is factorization-independent for every constructed derivation.
+gives its value on each component; the test suites confirm the answer
+is factorization-independent for every constructed derivation.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bipoly import BiPoly, apply_phi_power, diff_h, exact_divide_by_a
 from .gwa import GwaElement, apply_sigma_mu, basis_word, from_poly, gwa_mul
-from .scalars import ONE, ZERO, Scalar, _to_scalar
+from .scalars import ONE, Scalar, _to_scalar
 
 
 class DerivationError(ValueError):
@@ -151,60 +157,30 @@ class NonInnerWitness:
 
 
 class Derivation:
-    """A twisted derivation over one parameter point, stored as its values
-    dx, dy, dh, dk on the generators x, y, h, k; the twisted Leibniz rule
-    extends them to every element.  g is the conformal polynomial the
-    values were built over, None when they do not depend on it."""
+    """A twisted derivation over one parameter point, stored as its c-type
+    part c0 (a BiPoly) plus an inner element b (a GwaElement): D is the
+    c-type derivation of c0 plus u -> b sigma_mu(u) - u b.  g is the
+    conformal polynomial the derivation was built over, None when it does
+    not depend on it."""
 
-    __slots__ = ("spec", "g", "_weights", "dx", "dy", "dh", "dk", "word_memo")
+    __slots__ = ("spec", "g", "_weights", "c0", "b", "word_memo")
 
-    def __init__(self, spec, g, weights, dx, dy, dh, dk):
+    def __init__(self, spec, g, weights, c0, b):
         self.spec = spec
         self.g = g
         self._weights = sorted(set(weights))
-        self.dx, self.dy, self.dh, self.dk = dx, dy, dh, dk
-        # D(v_w) by word weight, filled outward from D(v_0) = 0
-        self.word_memo = {0: GwaElement(), 1: dx, -1: dy}
+        self.c0, self.b = c0, b
+        # D(v_n) by word weight, each computed on its own from D(1) = 0
+        self.word_memo = {0: GwaElement()}
 
     def weights(self):
         return list(self._weights)
 
 
-def _qnum(exp, w, n):
-    # 1 + q + ... + q^(n-1) for q = z^(exp*w)
-    total = ZERO
-    for t in range(n):
-        total = total + Scalar.z_power(exp * w * t)
-    return total
-
-
-def _on_poly(spec, dh, dk, p):
-    """D(p) from dh = D(h) and dk = D(k), by twisted Leibniz on monomials
-    at each weight w: the h factor passes phi^w across the k block, paid
-    for by the two q-brackets."""
-    out = {}
-    for w in set(dh.terms) | set(dk.terms):
-        alpha_h = dh.terms.get(w, BiPoly())
-        alpha_k = dk.terms.get(w, BiPoly())
-        base = BiPoly()
-        for (a, c), coeff in p.terms.items():
-            if a:
-                scale = coeff * _qnum(spec.n1, w, a) * Scalar.z_power(spec.d * w * c)
-                base = base + alpha_h * BiPoly.monomial(a - 1, c, scale)
-            if c:
-                scale = coeff * _qnum(spec.d, w, c)
-                base = base + alpha_k * BiPoly.monomial(a, c - 1, scale)
-        out[w] = base
-    return GwaElement(out)
-
-
 def build_c_derivation(spec, cspec):
     # weight 0 only: off weight 0, commuting with phi^w forces such maps
     # to 0; the values on h and k vanish and none depends on g
-    c0 = cspec.c0
-    return Derivation(spec, None, [0], GwaElement({1: c0}),
-                      GwaElement({-1: apply_phi_power(spec, c0, -1) * (-spec.mu)}),
-                      GwaElement(), GwaElement())
+    return Derivation(spec, None, [0], cspec.c0, GwaElement())
 
 
 def _alpha_exponent(spec, which, t):
@@ -255,26 +231,20 @@ def build_alpha_derivation(spec, g, aspec):
     if w == 0:
         raise DerivationError("alpha weight must be nonzero")
     alpha_h, alpha_k = _alpha_value_polys(spec, aspec)
+    r_w = Scalar.z_power(spec.n1 * w) - ONE
     lhs = BiPoly.var_k() * alpha_h * (Scalar.z_power(spec.d * w) - ONE)
-    rhs = BiPoly.var_h() * alpha_k * (Scalar.z_power(spec.n1 * w) - ONE)
+    rhs = BiPoly.var_h() * alpha_k * r_w
     mismatch = lhs - rhs
     if mismatch:
         key = min(mismatch.terms)
         raise DerivationError(
             "alpha values do not couple into a derivation "
             "(hk = kh fails at h^%d*k^%d)" % key)
-    dh, dk = GwaElement({w: alpha_h}), GwaElement({w: alpha_k})
-    # y*x = a and x*y = phi(a); with D(x) = 0 (w > 0) or D(y) = 0 (w < 0)
-    # the other generator's value is D(a) or D(phi(a)) moved one word over
-    a = BiPoly.var_k() + g
-    if w > 0:
-        base = _on_poly(spec, dh, dk, a).terms.get(w, BiPoly())
-        dx, dy = GwaElement(), GwaElement({w - 1: base * spec.mu})
-    else:
-        phi_a = apply_phi_power(spec, a, 1)
-        base = _on_poly(spec, dh, dk, phi_a).terms.get(w, BiPoly())
-        dx, dy = GwaElement({w + 1: base * spec.mu_inv}), GwaElement()
-    return Derivation(spec, g, [w], dx, dy, dh, dk)
+    # alpha = ad_b for b = q v_w, q = alpha(h)/((r^w - 1) h): the coupling
+    # makes h divide alpha(h), and ad_b(k) = q (s^w - 1) k v_w = alpha(k) v_w
+    q = BiPoly._raw({(t - 1, e): c / r_w
+                     for (t, e), c in alpha_h.terms.items()})
+    return Derivation(spec, g, [w], BiPoly(), GwaElement({w: q}))
 
 
 def coupled_alpha_spec(spec, w, h_coeffs):
@@ -305,36 +275,49 @@ def coupled_alpha_spec(spec, w, h_coeffs):
 # ---------------------------------------------------------------------------
 # application
 
-def _word_derivative(algebra, deriv, w):
-    """D(v_w), filling the memo outward from D(v_0) = 0 by peeling one
-    generator from the left: D(g v_n) = D(g) sigma_mu(v_n) + g D(v_n)."""
+def _c_type_factor(spec, c0, n):
+    """C_n with D(v_n) = C_n v_n for the c-type derivation of c0:
+    sum_{j<n} mu^{-(n-1-j)} phi^j(c0) for n > 0, and for n = -m < 0
+    -sum_{j<m} mu^{m-j} phi^{-(j+1)}(c0), which is the same sum over
+    phi^p for p = -1, ..., n.  Each monomial of c0 picks up one sum of
+    powers of z, built in a single pass."""
+    powers = range(n) if n > 0 else range(-1, n - 1, -1)
+    out = {}
+    for (i, j), c in c0.terms.items():
+        lam = spec.n1 * i + spec.d * j           # phi scales h^i k^j by z^lam
+        exps = Counter(p * lam + spec.n2 * (n - 1 - p) for p in powers)
+        low = min(0, min(exps))
+        total = Scalar({e - low: m for e, m in exps.items()}, {-low: 1}) * c
+        out[(i, j)] = total if n > 0 else -total
+    return BiPoly._raw(out)
+
+
+def _word_derivative(algebra, deriv, n):
+    """D(v_n) = C_n(c0) v_n + b sigma_mu(v_n) - v_n b, kept per weight."""
     memo = deriv.word_memo
-    step = 1 if w > 0 else -1
-    gen, gen_d = basis_word(step), memo[step]
-    for n in range(step, w + step, step):
-        if n not in memo:
-            rest = n - step
-            memo[n] = gwa_mul(algebra, gen_d,
-                              apply_sigma_mu(algebra, basis_word(rest))) \
-                + gwa_mul(algebra, gen, memo[rest])
-    return memo[w]
+    if n not in memo:
+        memo[n] = GwaElement({n: _c_type_factor(algebra.spec, deriv.c0, n)}) \
+            + twisted_commutator(algebra, deriv.b, basis_word(n))
+    return memo[n]
 
 
 def apply_derivation(algebra, deriv, u):
     """Evaluate the derivation on an element, component by component:
-    D(p v_w) = D(p) sigma_mu(v_w) + p D(v_w)."""
+    D(p v_n) = D(p) sigma_mu(v_n) + p D(v_n), where the c-type part
+    kills p and D(p) = sum_w q_w (phi^w(p) - p) v_w for b = sum_w q_w v_w."""
     if algebra.spec != deriv.spec:
         raise DerivationError("derivation and algebra parameters differ")
     if deriv.g is not None and deriv.g != algebra.g:
         raise DerivationError(
             "derivation was built over a different conformal polynomial")
     total = GwaElement()
-    for w, p in u.terms.items():
-        dp = _on_poly(algebra.spec, deriv.dh, deriv.dk, p)
+    for n, p in u.terms.items():
+        dp = GwaElement({w: q * (apply_phi_power(algebra.spec, p, w) - p)
+                         for w, q in deriv.b.terms.items()})
         if dp:
             total = total + gwa_mul(algebra, dp,
-                                    apply_sigma_mu(algebra, basis_word(w)))
-        dword = _word_derivative(algebra, deriv, w)
+                                    apply_sigma_mu(algebra, basis_word(n)))
+        dword = _word_derivative(algebra, deriv, n)
         if dword:
             total = total + gwa_mul(algebra, from_poly(p), dword)
     return total
@@ -342,10 +325,10 @@ def apply_derivation(algebra, deriv, u):
 
 def combine(parts):
     """Scalar combination of derivations over one parameter point; the
-    values on the generators combine linearly."""
+    c-type parts and the inner elements combine linearly."""
     spec = g = None
     weights = []
-    dx = dy = dh = dk = GwaElement()
+    c0, b = BiPoly(), GwaElement()
     for c, deriv in parts:
         c = _to_scalar(c)
         if spec is None:
@@ -359,11 +342,10 @@ def combine(parts):
                 raise DerivationError("conformal polynomial mismatch")
             g = deriv.g
         weights += deriv.weights()
-        dx, dy = dx + deriv.dx * c, dy + deriv.dy * c
-        dh, dk = dh + deriv.dh * c, dk + deriv.dk * c
+        c0, b = c0 + deriv.c0 * c, b + deriv.b * c
     if spec is None:
         raise DerivationError("nothing to combine")
-    return Derivation(spec, g, weights, dx, dy, dh, dk)
+    return Derivation(spec, g, weights, c0, b)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +421,10 @@ def parse_derivation_spec(text):
         key, sep, value = chunk.partition("=")
         if not sep:
             raise ValueError("bad derivation field %r" % chunk)
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ValueError("duplicate derivation field %r" % key)
+        fields[key] = value.strip()
     if set(fields) == {"c0"}:
         return CTypeSpec(parse_bipoly(fields["c0"]))
     if "w" not in fields or not set(fields) <= {"w", "alpha_h", "alpha_k"}:

@@ -203,6 +203,32 @@ def test_derive_rejects_duplicate_index(capsys):
     assert (code, out, err) == (2, "", "error: duplicate index 1\n")
 
 
+@pytest.mark.parametrize("text, field", [("c0 = h; c0 = k", "c0"),
+                                         ("w = 1; w = -1", "w")],
+                         ids=["c0", "w"])
+def test_derive_rejects_duplicate_field(capsys, text, field):
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "derive", "--derivation", text, "x")
+    assert (code, out, err) == \
+        (2, "", "error: duplicate derivation field '%s'\n" % field)
+
+
+@pytest.mark.parametrize("derivation, expr", [
+    ("c0 = 1", "x^1100"),
+    ("w = 1; alpha_h = {1: 1}; alpha_k = {0: (z - 1)/(z^3 - 1)}",
+     "y^200 + x^200*h"),
+], ids=["c-type", "alpha"])
+def test_derive_long_word_cost_is_bounded(capsys, derivation, expr):
+    # each D(v_n) is one closed-form sum plus one twisted commutator, not
+    # a chain of n products; cli_golden.json pins the output
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "derive", "--derivation", derivation,
+                         expr)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err == ""
+
+
 def test_inner_witness(capsys):
     code, out, err = run(capsys, "--d", "1", "--n1", "2", "--n2", "5",
                          "inner", "--c0", "h*k^3")

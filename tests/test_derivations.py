@@ -7,8 +7,8 @@ import pytest
 
 from downup import (AlphaSpec, BiPoly, CTypeSpec, Derivation, DerivationError,
                     GwaAlgebra, GwaElement, IndexSet, NonInnerWitness, Scalar,
-                    apply_derivation, apply_sigma_mu, basis_word,
-                    build_alpha_derivation, build_c_derivation,
+                    apply_derivation, apply_phi_power, apply_sigma_mu,
+                    basis_word, build_alpha_derivation, build_c_derivation,
                     check_weight0_alpha_condition, combine,
                     coupled_alpha_spec, from_poly, gwa_mul, index_sets_from_b,
                     parse_derivation_spec, solve_inner, twisted_commutator,
@@ -109,7 +109,8 @@ def test_c_type_action_on_generators():
     shifted = BiPoly({(1, 1): Scalar.z_power(-spec.n1 - spec.d), (0, 0): ONE})
     assert apply_derivation(A, D, basis_word(-1)) == GwaElement({-1: shifted * (-mu)})
     # the values on h and k vanish, and none depends on g
-    assert D.dh == D.dk == GwaElement()
+    assert apply_derivation(A, D, from_poly(H)) == \
+        apply_derivation(A, D, from_poly(K)) == GwaElement()
     assert D.g is None
 
 
@@ -211,6 +212,61 @@ def test_alpha_support_violations():
         coupled_alpha_spec(A.spec, 1, {0: ONE})
 
 
+def test_alpha_construction_property():
+    # every ad_b satisfies twisted Leibniz, so this pins b itself: the
+    # values on h and k are the table's, with k-exponents built here from
+    # the index conditions; x (w > 0) or y (w < 0) goes to zero; and the
+    # derivation is u -> b sigma_mu(u) - u b
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficients = st.fractions(min_value=-3, max_value=3,
+                                max_denominator=3).filter(bool)
+    exponents = st.integers(-4, 4).filter(bool)
+
+    @st.composite
+    def points(draw):
+        try:
+            spec = validate_param_spec(draw(st.integers(1, 3)),
+                                       draw(exponents), draw(exponents))
+        except ValueError:
+            hypothesis.reject()
+        i_ref, _ = enumerate_indices(spec.b1, spec.b2, bound=4)
+        options = [i for i in i_ref if i >= 1]
+        if not options:
+            hypothesis.reject()
+        return std_algebra(spec, draw(st.sampled_from(
+            [(0, 1), (1, 0, 1), (0, 0, 1)]))), options
+
+    monomials = st.builds(
+        lambda w, i, j, c: GwaElement({w: BiPoly.monomial(i, j, c)}),
+        st.integers(-2, 2), st.integers(0, 2), st.integers(0, 2), coefficients)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(points(), st.sampled_from([1, -1, 2, -2, 3, -3]),
+                      st.data())
+    def check(point, w, data):
+        A, options = point
+        spec = A.spec
+        table = data.draw(st.dictionaries(st.sampled_from(options),
+                                          coefficients, min_size=1))
+        aspec = coupled_alpha_spec(spec, w, table)
+        D = build_alpha_derivation(spec, A.g, aspec)
+        # alpha(h) has h^i k^e with d*e = n2 + (1 - i)*n1 (the I condition),
+        # alpha(k) has h^m k^e with d*e = n2 - m*n1 + d (the J condition)
+        alpha_h = BiPoly({(i, (spec.n2 + (1 - i) * spec.n1) // spec.d): c
+                          for i, c in aspec.coeffs_h.items()})
+        alpha_k = BiPoly({(m, (spec.n2 - m * spec.n1 + spec.d) // spec.d): c
+                          for m, c in aspec.coeffs_k.items()})
+        assert apply_derivation(A, D, from_poly(H)) == GwaElement({w: alpha_h})
+        assert apply_derivation(A, D, from_poly(K)) == GwaElement({w: alpha_k})
+        killed = basis_word(1 if w > 0 else -1)
+        assert apply_derivation(A, D, killed) == GwaElement()
+        u = data.draw(monomials) + data.draw(monomials)
+        assert apply_derivation(A, D, u) == twisted_commutator(A, D.b, u)
+
+    check()
+
+
 # -- mixing and applying ------------------------------------------------------
 
 def test_combine_is_linear():
@@ -236,8 +292,7 @@ def test_combine_drops_zero_parts():
     D = combine([(0, alpha), (1, c_type)])
     assert D.weights() == [0]
     assert D.g is None
-    assert (D.dx, D.dy, D.dh, D.dk) == \
-        (c_type.dx, c_type.dy, c_type.dh, c_type.dk)
+    assert (D.c0, D.b) == (c_type.c0, c_type.b)
     with pytest.raises(DerivationError, match="nothing to combine"):
         combine([])
 
@@ -271,19 +326,31 @@ def test_apply_guards():
         apply_derivation(A, Da, basis_word(1))
 
 
-def test_word_derivative_matches_leibniz_unrolling():
+@pytest.mark.parametrize("n", range(-6, 7))
+@pytest.mark.parametrize("c0", [
+    H * K,
+    H ** 2 / (Scalar.z_power(1) + 1) - K + 1,
+], ids=["hk", "mixed"])
+def test_word_derivative_matches_leibniz_unrolling(c0, n):
+    # the closed form of D(v_n) against the word built one generator at a
+    # time from D(x) = c0 x and D(y) = -mu phi^{-1}(c0) y
     A = std_algebra()
-    D = build_c_derivation(A.spec, CTypeSpec(H * K))
-    x = basis_word(1)
-    dx = apply_derivation(A, D, x)
-    lhs = apply_derivation(A, D, gwa_mul(A, x, x))
-    rhs = gwa_mul(A, dx, apply_sigma_mu(A, x)) + gwa_mul(A, x, dx)
-    assert lhs == rhs
+    D = build_c_derivation(A.spec, CTypeSpec(c0))
+    mu = Scalar.z_power(-A.spec.n2)
+    gen = basis_word(1 if n > 0 else -1)
+    dgen = GwaElement({1: c0}) if n > 0 else \
+        GwaElement({-1: apply_phi_power(A.spec, c0, -1) * (-mu)})
+    word, dword = basis_word(0), GwaElement()
+    for _ in range(abs(n)):
+        dword = gwa_mul(A, dgen, apply_sigma_mu(A, word)) \
+            + gwa_mul(A, gen, dword)
+        word = gwa_mul(A, gen, word)
+    assert apply_derivation(A, D, word) == dword
 
 
 def test_word_derivative_does_not_recurse():
-    # a word longer than the recursion limit: one generator peeled per
-    # loop turn, not per stack frame
+    # a word longer than the recursion limit: D(v_n) is one closed-form
+    # sum, not a chain of n nested calls
     A = std_algebra()
     D = build_c_derivation(A.spec, CTypeSpec(BiPoly.one()))
     limit = sys.getrecursionlimit()
