@@ -47,49 +47,46 @@ MAX_INDEX_SET = 100_000
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Admissible exponents: a finite list (possibly empty), or a residue
-    class with a threshold."""
+    """Admissible exponents first, first + modulus, ..., up to last, or
+    without end when last is None.  The fields are canonical (the empty
+    set is (0, 1, -1), a single member has modulus 1), so == is set
+    equality."""
 
-    kind: str                       # "finite" | "progression"
-    elements: tuple = ()
-    offset: int = 0
-    modulus: int = 1
-    threshold: int = 0
-
-    @classmethod
-    def finite(cls, elements):
-        elements = tuple(sorted(set(elements)))
-        return cls("finite", elements)
-
-    @classmethod
-    def progression(cls, offset, modulus, threshold):
-        return cls("progression", (), offset % modulus, modulus, threshold)
+    first: int
+    modulus: int
+    last: int | None = None
 
     def __contains__(self, t):
-        if t < 0:
-            return False
-        if self.kind == "finite":
-            return t in self.elements
-        return t >= self.threshold and t % self.modulus == self.offset
+        return self.first <= t and (self.last is None or t <= self.last) \
+            and (t - self.first) % self.modulus == 0
 
     def members_up_to(self, bound):
-        if self.kind == "finite":
-            return [t for t in self.elements if t <= bound]
-        start = self.threshold + ((self.offset - self.threshold) % self.modulus)
-        return list(range(start, bound + 1, self.modulus))
+        if self.last is not None:
+            bound = min(bound, self.last)
+        return list(range(self.first, bound + 1, self.modulus))
 
     def is_empty(self):
-        return self.kind == "finite" and not self.elements
+        return self.last is not None and self.last < self.first
 
     def __str__(self):
-        if self.kind == "finite":
-            return "{%s}" % ", ".join(str(t) for t in self.elements)
+        if self.last is not None:
+            return "{%s}" % ", ".join(map(str, self.members_up_to(self.last)))
         if self.modulus == 1:
-            if self.threshold == 0:
+            if self.first == 0:
                 return "N"
-            return "{t in N : t >= %d}" % self.threshold
+            return "{t in N : t >= %d}" % self.first
         return "{t in N : t >= %d, t = %d (mod %d)}" % (
-            self.threshold, self.offset, self.modulus)
+            self.first, self.first % self.modulus, self.modulus)
+
+
+def _index_pairs(b1, b2):
+    """(b1, c) for I and for J: t is a member when c - t*b1 is a natural
+    number.  I collects t with b2 + (1-t)*b1 natural (values on h); J
+    collects t with b2 - t*b1 + 1 natural (values on k)."""
+    b1, b2 = Fraction(b1), Fraction(b2)
+    if b1 == 0:
+        raise DerivationError("b1 zero")
+    return (b1, b2 + b1), (b1, b2 + 1)
 
 
 def _solve_membership(b1, c):
@@ -97,14 +94,14 @@ def _solve_membership(b1, c):
 
     Integrality is the congruence  t*A = C (mod L)  on the common
     denominator lattice; nonnegativity then bounds t above when b1 > 0
-    (a finite set) and below when b1 < 0 (a progression).
+    (a finite set) and below when b1 < 0 (an endless progression).
     """
     lcm = math.lcm(b1.denominator, c.denominator)
     a_coef = int(b1 * lcm)
     c_coef = int(c * lcm)
     g = math.gcd(a_coef, lcm)
     if c_coef % g:
-        return IndexSet.finite(())
+        return IndexSet(0, 1, -1)
     modulus = lcm // g
     inv = pow((a_coef // g) % modulus, -1, modulus)
     offset = ((c_coef // g) * inv) % modulus
@@ -114,24 +111,18 @@ def _solve_membership(b1, c):
         if len(members) > MAX_INDEX_SET:
             raise DerivationError("index set has %d members, more than %d"
                                   % (len(members), MAX_INDEX_SET))
-        return IndexSet.finite(members)
+        if not members:
+            return IndexSet(0, 1, -1)
+        return IndexSet(offset, modulus if len(members) > 1 else 1,
+                        members[-1])
     # smallest t with c - t*b1 >= 0, i.e. t >= c/b1
     t0 = max(0, math.ceil(c / b1))
-    threshold = t0 + ((offset - t0) % modulus)
-    return IndexSet.progression(offset, modulus, threshold)
+    return IndexSet(t0 + ((offset - t0) % modulus), modulus)
 
 
 def index_sets_from_b(b1, b2):
-    """Index sets for the exponent vector (b1, b2) directly.
-
-    I collects t with b2 + (1-t)*b1 natural (values on h); J collects t
-    with b2 - t*b1 + 1 natural (values on k).
-    """
-    b1, b2 = Fraction(b1), Fraction(b2)
-    if b1 == 0:
-        raise DerivationError("b1 zero")
-    return (_solve_membership(b1, b2 + b1),
-            _solve_membership(b1, b2 + 1))
+    """The index sets I and J for the exponent vector (b1, b2)."""
+    return tuple(_solve_membership(*pair) for pair in _index_pairs(b1, b2))
 
 
 # ---------------------------------------------------------------------------
@@ -183,35 +174,25 @@ def build_c_derivation(spec, cspec):
     return Derivation(spec, None, [0], cspec.c0, GwaElement())
 
 
-def _alpha_exponent(spec, which, t):
-    # k-exponent paired with h^t on the h side / k side value; None
-    # exactly when t is outside that side's index set
-    if which == "h":
-        num = spec.n2 + (1 - t) * spec.n1
-    else:
-        num = spec.n2 - t * spec.n1 + spec.d
-    if t < 0 or num < 0 or num % spec.d:
-        return None
-    return num // spec.d
-
-
 def _alpha_value_polys(spec, aspec):
-    # the natural k-exponents make each value commute with phi as the
-    # coarseness demands, e.g. r*alpha(h) = mu*phi(alpha(h))
+    # each key t of a side pairs with the natural k-exponent c - t*b1 of
+    # that side's index condition, which makes the value commute with phi
+    # as the coarseness demands, e.g. r*alpha(h) = mu*phi(alpha(h))
     polys = []
-    for which, name, coeffs in (("h", "i", aspec.coeffs_h),
-                                ("k", "m", aspec.coeffs_k)):
+    for (b1, c), which, name, coeffs in zip(
+            _index_pairs(spec.b1, spec.b2), "hk", "im",
+            (aspec.coeffs_h, aspec.coeffs_k)):
+        index_set = _solve_membership(b1, c)
         terms = {}
-        for t, c in coeffs.items():
-            c = _to_scalar(c)
-            if not c:
+        for t, v in coeffs.items():
+            v = _to_scalar(v)
+            if not v:
                 continue
-            e = _alpha_exponent(spec, which, t)
-            if e is None:
+            if t not in index_set:
                 raise DerivationError(
                     "support violation: %s=%d is not in the %s index set"
                     % (name, t, which))
-            terms[(t, e)] = c
+            terms[(t, int(c - t * b1))] = v
         polys.append(BiPoly(terms))
     return polys
 

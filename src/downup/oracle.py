@@ -87,15 +87,7 @@ def oracle_normalize(algebra, terms, strategy="leftmost"):
         m = sum(1 for ch in letters if ch == "x")
         n = sum(1 for ch in letters if ch == "y")
         assert m == 0 or n == 0
-        w = m - n
-        bucket = acc.setdefault(w, {})
-        key = (i, j)
-        prev = bucket.get(key)
-        total = coeff if prev is None else prev + coeff
-        if total:
-            bucket[key] = total
-        elif key in bucket:
-            del bucket[key]
+        _add_into(acc.setdefault(m - n, {}), (i, j), coeff)
     return GwaElement({w: BiPoly(bucket) for w, bucket in acc.items()})
 
 
@@ -134,15 +126,20 @@ def free_expand(node):
     return out
 
 
+def _add_into(out, key, c):
+    """out[key] += c, dropping the entry when the sum is zero."""
+    v = out.get(key)
+    v = c if v is None else v + c
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
 def _free_add(a, b):
     out = dict(a)
     for word, c in b.items():
-        v = out.get(word)
-        v = c if v is None else v + c
-        if v:
-            out[word] = v
-        elif word in out:
-            del out[word]
+        _add_into(out, word, c)
     return out
 
 
@@ -150,14 +147,7 @@ def _free_mul(a, b):
     out = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            word = wa + wb
-            c = ca * cb
-            v = out.get(word)
-            v = c if v is None else v + c
-            if v:
-                out[word] = v
-            elif word in out:
-                del out[word]
+            _add_into(out, wa + wb, ca * cb)
     return out
 
 

@@ -80,8 +80,8 @@ def test_criterion_2_negative_slope_branches():
     for b1 in (-1, -2, -3):
         for b2 in (1, 2, 3):
             i_set, j_set = index_sets_from_b(b1, b2)
-            assert j_set == IndexSet.progression(0, 1, 0), (b1, b2)
-            expect_i = IndexSet.progression(0, 1, 0 if b2 >= -b1 else 1)
+            assert j_set == IndexSet(0, 1), (b1, b2)
+            expect_i = IndexSet(0 if b2 >= -b1 else 1, 1)
             assert i_set == expect_i, (b1, b2)
             ref_i, ref_j = enumerate_indices(b1, b2)
             assert i_set.members_up_to(1000) == ref_i

@@ -83,6 +83,19 @@ def test_indices_size_cap(capsys):
     assert err.count("\n") == 1
 
 
+def test_derive_alpha_table_respects_size_cap(capsys):
+    # an alpha table's keys are checked against the index sets, so a set
+    # past the size cap is refused here as in the indices command
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--d", "2", "--n1", "3",
+                         "--n2", "1000000000", "--f", "0,1", "derive",
+                         "--derivation", "w = 1; alpha_h = {1: 1}; "
+                         "alpha_k = {0: (z^2 - 1)/(z^3 - 1)}", "h")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == "error: index set has 166666667 members, more than 100000\n"
+
+
 def test_conformal_command(capsys):
     code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
                          "--f", "0,1", "conformal")

@@ -28,14 +28,14 @@ ONE = Scalar.from_rational(1)
 def test_index_sets_integer_point():
     spec = std_spec()                              # (b1, b2) = (3, 2)
     i_set, j_set = index_sets_from_b(spec.b1, spec.b2)
-    assert i_set == IndexSet.finite([0, 1])
-    assert j_set == IndexSet.finite([0, 1])
+    assert i_set == IndexSet(0, 1, 1)
+    assert j_set == IndexSet(0, 1, 1)
 
 
 def test_index_sets_fractional_point():
     i_set, j_set = index_sets_from_b(Fraction(3, 2), Fraction(3, 2))
-    assert i_set == IndexSet.finite([0, 2])
-    assert j_set == IndexSet.finite([1])
+    assert i_set == IndexSet(0, 2, 2)
+    assert j_set == IndexSet(1, 1, 1)
     assert str(i_set) == "{0, 2}"
 
 
@@ -48,8 +48,8 @@ def test_index_sets_negative_slope_full():
 
 def test_index_sets_negative_slope_congruence():
     i_set, j_set = index_sets_from_b(Fraction(-3, 2), Fraction(1, 2))
-    assert i_set == IndexSet.progression(0, 2, 2)
-    assert j_set == IndexSet.progression(1, 2, 1)
+    assert i_set == IndexSet(2, 2)
+    assert j_set == IndexSet(1, 2)
     assert str(i_set) == "{t in N : t >= 2, t = 0 (mod 2)}"
     assert i_set.members_up_to(9) == [2, 4, 6, 8]
     assert 0 not in i_set and 2 in i_set and 3 not in i_set
@@ -81,12 +81,23 @@ def test_index_sets_match_enumeration_property():
         min_value=-12, max_value=12, max_denominator=7)
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
-    @hypothesis.given(rationals.filter(bool), rationals)
-    def check(b1, b2):
+    @hypothesis.given(rationals.filter(bool), rationals,
+                      rationals.filter(bool), rationals)
+    def check(b1, b2, other_b1, other_b2):
         i_set, j_set = index_sets_from_b(b1, b2)
         i_ref, j_ref = enumerate_indices(b1, b2, bound=200)
         assert i_set.members_up_to(200) == i_ref
         assert j_set.members_up_to(200) == j_ref
+        for t in range(201):
+            assert (t in i_set, t in j_set) == (t in i_ref, t in j_ref), t
+        # the fields are canonical, so == is set equality; every finite
+        # set at these points lies below 200, so the lists up to 1000
+        # decide it
+        sets = (i_set, j_set) + index_sets_from_b(other_b1, other_b2)
+        for a in sets:
+            for b in sets:
+                assert (a == b) == \
+                    (a.members_up_to(1000) == b.members_up_to(1000)), (a, b)
 
     check()
 
@@ -210,6 +221,47 @@ def test_alpha_support_violations():
         build_alpha_derivation(A.spec, A.g, AlphaSpec(0, {1: ONE}, {}))
     with pytest.raises(DerivationError, match="no coupling partner"):
         coupled_alpha_spec(A.spec, 1, {0: ONE})
+
+
+def test_alpha_support_matches_enumeration_property():
+    # a table key is refused as outside its side's index set exactly when
+    # the brute-force enumeration does not list it; a listed key alone
+    # may still fail the hk = kh coupling
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exponents = st.integers(-6, 6).filter(bool)
+
+    @st.composite
+    def points(draw):
+        try:
+            return validate_param_spec(draw(st.integers(1, 4)),
+                                       draw(exponents), draw(exponents))
+        except ValueError:
+            hypothesis.reject()
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(points(), st.sampled_from([1, -1, 2, -2]))
+    def check(spec, w):
+        g = std_algebra(spec).g
+        listed = enumerate_indices(spec.b1, spec.b2, bound=12)
+        for side, (name, which) in enumerate((("i", "h"), ("m", "k"))):
+            for t in range(-2, 13):
+                tables = [{}, {}]
+                tables[side][t] = ONE
+                try:
+                    build_alpha_derivation(spec, g, AlphaSpec(w, *tables))
+                    message = None
+                except DerivationError as exc:
+                    message = str(exc)
+                if t in listed[side]:
+                    assert message is None or message.startswith(
+                        "alpha values do not couple into a derivation "
+                        "(hk = kh fails at "), (spec, name, t, message)
+                else:
+                    assert message == ("support violation: %s=%d is not in "
+                                       "the %s index set" % (name, t, which))
+
+    check()
 
 
 def test_alpha_construction_property():
