@@ -24,8 +24,7 @@ is factorization-independent for every constructed derivation.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .bipoly import BiPoly, apply_phi_power, diff_h, exact_divide_by_a
@@ -45,16 +44,28 @@ class DerivationError(ValueError):
 MAX_INDEX_SET = 100_000
 
 
-@dataclass(frozen=True)
 class IndexSet:
     """Admissible exponents first, first + modulus, ..., up to last, or
     without end when last is None.  The fields are canonical (the empty
     set is (0, 1, -1), a single member has modulus 1), so == is set
     equality."""
 
-    first: int
-    modulus: int
-    last: int | None = None
+    __slots__ = ("first", "modulus", "last")
+
+    def __init__(self, first, modulus, last=None):
+        self.first, self.modulus, self.last = first, modulus, last
+
+    def _key(self):
+        return self.first, self.modulus, self.last
+
+    def __eq__(self, other):
+        return isinstance(other, IndexSet) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "IndexSet(first=%r, modulus=%r, last=%r)" % self._key()
 
     def __contains__(self, t):
         return self.first <= t and (self.last is None or t <= self.last) \
@@ -128,23 +139,20 @@ def index_sets_from_b(b1, b2):
 # ---------------------------------------------------------------------------
 # derivation data
 
-@dataclass(frozen=True)
-class CTypeSpec:
-    c0: BiPoly
+class CTypeSpec(namedtuple("CTypeSpec", "c0")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AlphaSpec:
-    w: int
-    coeffs_h: dict = field(default_factory=dict)
-    coeffs_k: dict = field(default_factory=dict)
+class AlphaSpec(namedtuple("AlphaSpec", "w coeffs_h coeffs_k")):
+    __slots__ = ()
+
+    def __new__(cls, w, coeffs_h=None, coeffs_k=None):
+        return super().__new__(cls, w, coeffs_h or {}, coeffs_k or {})
 
 
-@dataclass(frozen=True)
-class NonInnerWitness:
+class NonInnerWitness(namedtuple("NonInnerWitness", "beta gamma")):
     """Monomial of c0 where the inner equation degenerates."""
-    beta: int
-    gamma: int
+    __slots__ = ()
 
 
 class Derivation:

@@ -8,7 +8,7 @@ algebra with the weighted normal form built on a = k + g(h).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .bipoly import BiPoly, apply_phi_power
@@ -17,14 +17,13 @@ from .gwa import GwaAlgebra, basis_word, from_poly, gwa_mul
 from .scalars import ParameterError, Scalar, _to_scalar
 
 
-@dataclass(frozen=True)
-class DownUpPresentation:
-    spec: object
-    f: BiPoly
+class DownUpPresentation(namedtuple("DownUpPresentation", "spec f")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.f.is_h_only():
+    def __new__(cls, spec, f):
+        if not f.is_h_only():
             raise ValueError("f must depend on h only")
+        return super().__new__(cls, spec, f)
 
     @classmethod
     def from_coefficients(cls, spec, coeffs):

@@ -11,8 +11,10 @@ reduce to integer arithmetic on exponents.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 
 
 class ParameterError(ValueError):
@@ -49,33 +51,75 @@ def _pmul(a, b):
     return out
 
 
-def _pdivmod(a, b):
-    # long division over the rationals; b must be nonzero
-    if not b:
-        raise ZeroDivisionError("zero divisor")
-    top = max(b)
-    lead = b[top]
-    quo, rem = {}, dict(a)
-    while rem:
-        e = max(rem)
-        if e < top:
-            break
-        c = Fraction(rem[e]) / lead
-        quo[e - top] = c
-        for i, cb in b.items():
-            _accumulate(rem, e - top + i, -c * cb)
+_P_ONE = {0: 1}
+
+
+def _primitive(p, shift=0):
+    # p / z^shift as scale * q: q an integer map with content 1 and a
+    # positive leading coefficient, scale a Fraction
+    den = reduce(math.lcm, [c.denominator for c in p.values()])
+    q = {e - shift: c.numerator * (den // c.denominator) for e, c in p.items()}
+    g = reduce(math.gcd, q.values(), 0)
+    if q[max(q)] < 0:
+        g = -g
+    return Fraction(g, den), {e: c // g for e, c in q.items()}
+
+
+def _zdivmod(a, b):
+    # (quotient, remainder) of a by b over Z, or None if a step is inexact
+    top, lead = max(b), b[max(b)]
+    rest = [(e - top, c) for e, c in b.items() if e != top]
+    rem, quo = dict(a), {}
+    for e in range(max(a), top - 1, -1):
+        c = rem.pop(e, 0)
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                return None
+            quo[e - top] = q
+            for i, cb in rest:
+                _accumulate(rem, e + i, -q * cb)
     return quo, rem
 
 
-def _pgcd(a, b):
-    # a gcd up to a constant factor: _lowest_terms makes the denominator
-    # monic after dividing by it, so its scale never shows
+def _prs_gcd(f, g):
+    # the gcd of two primitive integer maps with positive leading
+    # coefficients, with both cofactors, by a primitive pseudo-remainder
+    # sequence (Brown, JACM 18, 1971)
+    a, b = (f, g) if max(f) >= max(g) else (g, f)
     while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return a
+        lead = b[max(b)] ** (max(a) - max(b) + 1)
+        rem = _zdivmod({e: c * lead for e, c in a.items()}, b)[1]
+        a, b = b, rem and _primitive(rem)[1]
+    return a, _zdivmod(f, a)[0], _zdivmod(g, a)[0]
 
 
-_P_ONE = {0: 1}
+def _zgcd(f, g):
+    # the same, by GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989):
+    # the integer gcd of the values at xi = 2^k, read back as a map from
+    # its balanced base-xi digits.  For xi >= 2 min(|f|, |g|) + 2 a
+    # candidate that divides both maps is the gcd; after 6 values of xi,
+    # fall back to the remainder sequence.
+    norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
+    k = (2 * norm + 2).bit_length()
+    for _ in range(6):
+        h = math.gcd(sum(c << k * e for e, c in f.items()),
+                     sum(c << k * e for e, c in g.items()))
+        half, cand, e = 1 << (k - 1), {}, 0
+        while h:
+            c = ((h + half) & ((half << 1) - 1)) - half
+            if c:
+                cand[e] = c
+            h, e = (h - c) >> k, e + 1
+        cand = _primitive(cand)[1]
+        if cand == _P_ONE:
+            return cand, f, g
+        cf = _zdivmod(f, cand)
+        cg = cf and not cf[1] and _zdivmod(g, cand)
+        if cg and not cg[1]:
+            return cand, cf[0], cg[0]
+        k += k // 4 + 2
+    return _prs_gcd(f, g)
 
 
 def _lowest_terms(num, den):
@@ -86,22 +130,20 @@ def _lowest_terms(num, den):
         return num, _P_ONE
     if den == _P_ONE:
         return num, den
-    if len(den) == 1:
-        # monomial denominator: the gcd is a bare power of z
-        (top, lc), = den.items()
-        t = min(top, min(num))
-        num = {e - t: c if lc == 1 else Fraction(c) / lc
-               for e, c in num.items()}
-        return num, {top - t: 1}
-    g = _pgcd(num, den)
-    if max(g):
-        num = _pdivmod(num, g)[0]
-        den = _pdivmod(den, g)[0]
     lc = den[max(den)]
-    if lc != 1:
-        num = {e: Fraction(c) / lc for e, c in num.items()}
-        den = {e: Fraction(c) / lc for e, c in den.items()}
-    return num, den
+    if len(num) == 1 or len(den) == 1:
+        # a monomial on either side: the gcd is z^min(min num, min den)
+        t = min(min(num), min(den))
+        return tuple({e - t: c if lc == 1 else Fraction(c) / lc
+                      for e, c in p.items()} for p in (num, den))
+    # the gcd is z^t times the gcd of the primitive z-free parts
+    a, b = min(num), min(den)
+    (sn, f), (sd, g) = _primitive(num, a), _primitive(den, b)
+    _, f, g = _zgcd(f, g)
+    t, lc = min(a, b), g[max(g)]
+    scale = sn / (sd * lc)
+    return ({e + a - t: c * scale for e, c in f.items()},
+            {e + b - t: Fraction(c, lc) for e, c in g.items()})
 
 
 def _checked(poly):
@@ -306,17 +348,14 @@ def _times_text(c, body):
 # ---------------------------------------------------------------------------
 # parameters
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(namedtuple("ParamSpec", "d n1 n2")):
     """Exponent data (d, n1, n2) pinning r = z^n1, s = z^d, mu^{-1} = z^n2.
 
     The exponent vector b = (n1/d, n2/d) records how the two structure
     constants and the coarseness sit on the common lattice.
     """
 
-    d: int
-    n1: int
-    n2: int
+    __slots__ = ()
 
     @property
     def b1(self):

@@ -7,7 +7,6 @@ pass/total with a short failure description per miss.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -23,12 +22,11 @@ from .presentation import (DownUpPresentation, conformal_residue, gwa_algebra,
 from .scalars import ONE, ZERO, Scalar, validate_param_spec
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: int = 0
-    total: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, name):
+        self.name = name
+        self.passed = self.total = 0
+        self.failures = []
 
     def check(self, ok, describe):
         self.total += 1

@@ -242,6 +242,21 @@ def test_derive_long_word_cost_is_bounded(capsys, derivation, expr):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("lhs, rhs", [
+    ("(z^10000 + 1)/(3*z^2 + 5*z + 1)", "1"),
+    ("x^16", "y^16"),
+], ids=["dense-denominator", "long-words"])
+def test_mul_cost_is_bounded(capsys, lhs, rhs):
+    # lowest terms come from an integer gcd, so neither a degree-10^4
+    # numerator over a dense denominator nor the scalars of a long word
+    # product cost seconds; cli_golden.json pins the x^12*y^12 output
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "mul", lhs, rhs)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err == ""
+
+
 def test_inner_witness(capsys):
     code, out, err = run(capsys, "--d", "1", "--n1", "2", "--n2", "5",
                          "inner", "--c0", "h*k^3")

@@ -57,7 +57,7 @@ def test_non_conformal_degree_is_named():
     with pytest.raises(ParameterError, match="not conformal at degree 1"):
         solve_conformal(pres)
     # degree 0 obstruction: s = r^0 = 1 needs d = 0, kept out by the
-    # dataclass itself, so the guard only fires at positive degrees
+    # validator, so the guard only fires at positive degrees
     spec6 = ParamSpec(d=6, n1=2, n2=1)
     pres6 = DownUpPresentation.from_coefficients(spec6, [0, 0, 0, 1])
     with pytest.raises(ParameterError, match="not conformal at degree 3"):

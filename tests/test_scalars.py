@@ -86,56 +86,89 @@ def test_arithmetic_leaves_operands_unchanged():
 
 
 def test_arithmetic_matches_sympy_property():
-    # an independent implementation of Q(z): sympy's fraction field,
-    # which cancels on construction; its denominator is made monic here
+    # an independent check of the normal form: with sympy's arithmetic
+    # and gcd over QQ[z], each result equals the unreduced fraction, its
+    # numerator and denominator are coprime and its denominator is monic,
+    # which pins one representative of each element of Q(z)
     hypothesis = pytest.importorskip("hypothesis")
-    sympy = pytest.importorskip("sympy")
+    pytest.importorskip("sympy")
     from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
     st = hypothesis.strategies
-    field = QQ.frac_field(sympy.Symbol("z")).field
-    ring = field.ring
+    R, _ = ring("z", QQ)
 
-    def to_sympy(s):
-        def poly(m):
-            return ring.from_dict({(e,): QQ(c.numerator, c.denominator)
-                                   for e, c in m.items()})
-        return field.new(poly(s.num), poly(s.den))
+    def poly(m):
+        return R.from_dict({(e,): QQ(c.numerator, c.denominator)
+                            for e, c in m.items()})
 
-    def canonical(f):
-        lc = f.denom.LC
-        return tuple({e: Fraction(int(c.numerator), int(c.denominator))
-                      for (e,), c in (p / lc).items()}
-                     for p in (f.numer, f.denom))
+    def normal_form_of(s, num, den):
+        sn, sd = poly(s.num), poly(s.den)
+        return sn * den == sd * num and sn.gcd(sd).is_ground and sd.LC == 1
 
     rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 
-    def maps(exponents):
-        return st.dictionaries(exponents, rationals, max_size=4)
+    def maps(exponents, min_size=0):
+        return st.dictionaries(exponents, rationals.filter(bool),
+                               min_size=min_size, max_size=4)
 
-    # Euclid over Q on two sparse polynomials of degree 10^4 fills in
-    # every degree and takes seconds, so the large exponents meet only
-    # monomial denominators, where the gcd is a bare power of z
+    # the large exponents meet monomial, dense (2-4 term) and
+    # dense-over-monomial denominators; sympy's gcd takes up to seconds on
+    # a dense pair of degree 10^4, so those pairs get a shorter run
+    big = st.integers(0, 10 ** 4)
+    monomial = st.builds(lambda e, c: {e: c}, big, rationals.filter(bool))
     small = st.builds(Scalar, maps(st.integers(0, 6)),
-                      maps(st.integers(0, 6)).filter(
-                          lambda m: any(m.values())))
-    laurent = st.builds(Scalar, maps(st.integers(0, 10 ** 4)),
-                        st.builds(lambda e, c: {e: c}, st.integers(0, 10 ** 4),
-                                  rationals.filter(bool)))
-    pairs = st.one_of(st.tuples(small, small, st.just(True)),
-                      st.tuples(laurent, laurent, st.just(False)))
+                      maps(st.integers(0, 6), 1))
+    laurent = st.builds(Scalar, maps(big), monomial)
+    dense = st.builds(Scalar, maps(big), maps(big, 2))
+    monomial_num = st.builds(Scalar, monomial, maps(big, 2))
 
-    @hypothesis.settings(max_examples=200, deadline=None, database=None)
-    @hypothesis.given(pairs)
     def check(pair):
-        a, b, small_pair = pair
-        fa, fb = to_sympy(a), to_sympy(b)
-        assert (a.num, a.den) == canonical(fa)
-        assert ((a + b).num, (a + b).den) == canonical(fa + fb)
-        assert ((a * b).num, (a * b).den) == canonical(fa * fb)
-        if b and (small_pair or len(b.num) == 1):
-            assert ((a / b).num, (a / b).den) == canonical(fa / fb)
+        a, b = pair
+        (an, ad), (bn, bd) = ((poly(s.num), poly(s.den)) for s in pair)
+        assert normal_form_of(a, an, ad)
+        assert normal_form_of(a + b, an * bd + bn * ad, ad * bd)
+        assert normal_form_of(a * b, an * bn, ad * bd)
+        if b:
+            assert normal_form_of(a / b, an * bd, ad * bn)
 
-    check()
+    for pairs, runs in ((st.one_of(st.tuples(small, small),
+                                   st.tuples(laurent, laurent)), 200),
+                        (st.one_of(st.tuples(dense, dense),
+                                   st.tuples(monomial_num, dense),
+                                   st.tuples(laurent, monomial_num)), 25)):
+        hypothesis.settings(max_examples=runs, deadline=None, database=None)(
+            hypothesis.given(pairs)(check))()
+
+
+def test_integer_gcd_and_remainder_sequence_match_sympy():
+    # both gcd routines of the scalars on primitive integer maps with a
+    # planted common factor, against sympy's gcd over ZZ
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rings import ring
+
+    from downup.scalars import _pmul, _primitive, _prs_gcd, _zgcd
+    R, _ = ring("z", ZZ)
+    rng = random.Random(11)
+
+    def to_ring(m):
+        return R.from_dict({(e,): c for e, c in m.items()})
+
+    def rand_map(degree, bound):
+        m = {rng.randint(0, degree): rng.randint(-bound, bound)
+             for _ in range(rng.randint(1, 6))}
+        return {e: c for e, c in m.items() if c} or {0: 1}
+
+    for trial in range(300):
+        degree, bound = (12, 60) if trial % 3 else (40, 10 ** 6)
+        common = rand_map(degree // 2, bound)
+        f = _primitive(_pmul(rand_map(degree, bound), common))[1]
+        g = _primitive(_pmul(rand_map(degree, bound), common))[1]
+        want = to_ring(f).gcd(to_ring(g)).primitive()[1]
+        for gcd in (_zgcd, _prs_gcd):
+            h, cf, cg = gcd(f, g)
+            assert h[max(h)] > 0 and to_ring(h) == want
+            assert _pmul(h, cf) == f and _pmul(h, cg) == g
 
 
 def test_monomial_equality_is_exponent_equality():
