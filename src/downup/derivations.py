@@ -64,9 +64,6 @@ class IndexSet:
     def __hash__(self):
         return hash(self._key())
 
-    def __repr__(self):
-        return "IndexSet(first=%r, modulus=%r, last=%r)" % self._key()
-
     def __contains__(self, t):
         return self.first <= t and (self.last is None or t <= self.last) \
             and (t - self.first) % self.modulus == 0
