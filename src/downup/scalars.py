@@ -6,7 +6,9 @@ constants of a down-up algebra are stored as integer powers of z,
     r = z^n1,    s = z^d,    mu^{-1} = z^n2,
 
 so r is never a root of unity and questions such as "is s a power of r"
-reduce to integer arithmetic on exponents.  No floating point anywhere.
+reduce to integer arithmetic on exponents.  No floating point anywhere:
+a scalar is a quotient of coprime polynomials in Z[z], and products and
+sums reduce it by gcds of cross pairs only (Henrici, JACM 3, 1956).
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
+
+# the degree past which a dense pair is refused before the gcd, which holds
+# each map as one integer of k*degree bits (compare MAX_INDEX_SET)
+MAX_GCD_DEGREE = 100_000
 
 
 class ParameterError(ValueError):
@@ -22,7 +27,7 @@ class ParameterError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# sparse polynomials in z over the rationals: exponent -> coefficient maps
+# sparse polynomials in z over the integers: exponent -> coefficient maps
 # that never hold a zero, kept by _accumulate
 
 def _accumulate(out, key, c):
@@ -55,14 +60,12 @@ _P_ONE = {0: 1}
 
 
 def _primitive(p, shift=0):
-    # p / z^shift as scale * q: q an integer map with content 1 and a
-    # positive leading coefficient, scale a Fraction
-    den = reduce(math.lcm, [c.denominator for c in p.values()])
-    q = {e - shift: c.numerator * (den // c.denominator) for e, c in p.items()}
-    g = reduce(math.gcd, q.values(), 0)
-    if q[max(q)] < 0:
+    # p / z^shift as content * q: q with content 1 and a positive leading
+    # coefficient, content an int of the sign of p's leading coefficient
+    g = math.gcd(*p.values())
+    if p[max(p)] < 0:
         g = -g
-    return Fraction(g, den), {e: c // g for e, c in q.items()}
+    return g, {e - shift: c // g for e, c in p.items()}
 
 
 def _zdivmod(a, b):
@@ -94,7 +97,7 @@ def _prs_gcd(f, g):
     return a, _zdivmod(f, a)[0], _zdivmod(g, a)[0]
 
 
-def _zgcd(f, g):
+def _heu_gcd(f, g):
     # the same, by GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989):
     # the integer gcd of the values at xi = 2^k, read back as a map from
     # its balanced base-xi digits.  For xi >= 2 min(|f|, |g|) + 2 a
@@ -122,34 +125,37 @@ def _zgcd(f, g):
     return _prs_gcd(f, g)
 
 
-def _lowest_terms(num, den):
-    # the normal form of num/den: lowest terms, monic denominator
-    if not den:
-        raise ZeroDivisionError("zero divisor")
-    if not num:
-        return num, _P_ONE
-    if den == _P_ONE:
-        return num, den
-    lc = den[max(den)]
-    if len(num) == 1 or len(den) == 1:
-        # a monomial on either side: the gcd is z^min(min num, min den)
-        t = min(min(num), min(den))
-        return tuple({e - t: c if lc == 1 else Fraction(c) / lc
-                      for e, c in p.items()} for p in (num, den))
-    # the gcd is z^t times the gcd of the primitive z-free parts
-    a, b = min(num), min(den)
-    (sn, f), (sd, g) = _primitive(num, a), _primitive(den, b)
-    _, f, g = _zgcd(f, g)
-    t, lc = min(a, b), g[max(g)]
-    scale = sn / (sd * lc)
-    return ({e + a - t: c * scale for e, c in f.items()},
-            {e + b - t: Fraction(c, lc) for e, c in g.items()})
+def _zgcd(f, g):
+    # the gcd in Z[z] of two nonzero integer maps, with a positive lead,
+    # and both cofactors: c*z^t*h, for c the gcd of the contents and h that
+    # of the primitive z-free parts, which is 1 when either is a monomial
+    a, b = min(f), min(g)
+    t = min(a, b)
+    if len(f) > 1 and len(g) > 1:
+        degree = max(max(f) - a, max(g) - b)
+        if degree > MAX_GCD_DEGREE:
+            raise ValueError("a polynomial gcd of degree %d is past the "
+                             "limit of %d" % (degree, MAX_GCD_DEGREE))
+        (cf, f0), (cg, g0) = _primitive(f, a), _primitive(g, b)
+        h, f0, g0 = _heu_gcd(f0, g0)
+        if h != _P_ONE:
+            c = math.gcd(cf, cg)
+            return ({e + t: v * c for e, v in h.items()},
+                    {e + a - t: v * (cf // c) for e, v in f0.items()},
+                    {e + b - t: v * (cg // c) for e, v in g0.items()})
+    c = math.gcd(*f.values(), *g.values())
+    return ({t: c}, {e - t: v // c for e, v in f.items()},
+            {e - t: v // c for e, v in g.items()})
 
 
 def _checked(poly):
-    # a caller's map as a fresh map with no zero and no negative exponent
+    # a caller's map as a fresh map with no zero and no negative exponent,
+    # holding exact coefficients only
     if any(e < 0 for e in poly):
         raise ValueError("negative exponent %d" % min(poly))
+    for c in poly.values():
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("not an exact coefficient: %r" % (c,))
     return {e: c for e, c in poly.items() if c}
 
 
@@ -183,32 +189,53 @@ def _poly_text(cs):
 
 
 class Scalar:
-    """A rational function of z in lowest terms with monic denominator.
+    """A rational function of z in lowest terms over Z[z].
 
-    num and den map exponents to nonzero rational coefficients.  The
-    normal form makes == genuine field equality, so scalars can key
-    dictionaries and witness exact identities.  Results share maps, so
-    no map held by a Scalar is ever mutated.
+    The value is _n/_d: maps from exponents to nonzero integers, coprime
+    in Z[z], contents included, with a positive lead in _d.  This normal
+    form makes == genuine field equality, so scalars can key dictionaries
+    and witness exact identities.  The read-only num and den give it over
+    a monic denominator.  Results share maps, so no map held by a Scalar
+    is ever mutated.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, num, den=_P_ONE):
-        self.num, self.den = _lowest_terms(_checked(num), _checked(den))
+        num, den = _checked(num), _checked(den)
+        if not den:
+            raise ZeroDivisionError("zero divisor")
+        m = math.lcm(*(c.denominator for p in (num, den) for c in p.values()))
+        num, den = ({e: c.numerator * (m // c.denominator)
+                     for e, c in p.items()} for p in (num, den))
+        s = _new(*_zgcd(num, den)[1:]) if num else ZERO
+        self._n, self._d = s._n, s._d
 
     @classmethod
     def from_rational(cls, q):
         if not isinstance(q, (int, Fraction)):
             raise TypeError("not an exact rational: %r" % (q,))
         q = Fraction(q)
-        return _raw({0: q} if q else {})
+        return _new({0: q.numerator} if q else {}, {0: q.denominator})
 
     @classmethod
     def z_power(cls, e):
         """z^e for any integer e; negative e lands in the denominator."""
         if e >= 0:
-            return _raw({e: 1})
-        return _raw(_P_ONE, {-e: 1})
+            return _new({e: 1}, _P_ONE)
+        return _new(_P_ONE, {-e: 1})
+
+    num = property(lambda self: self._monic()[0],
+                   doc="The numerator over den: exponent -> rational.")
+    den = property(lambda self: self._monic()[1],
+                   doc="The monic denominator: exponent -> rational.")
+
+    def _monic(self):
+        lc = self._d[max(self._d)]
+        if lc == 1:
+            return self._n, self._d
+        return tuple({e: Fraction(c, lc) for e, c in p.items()}
+                     for p in (self._n, self._d))
 
     # -- ring/field structure ------------------------------------------------
 
@@ -216,18 +243,21 @@ class Scalar:
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
-        if self.den == _P_ONE and o.den == _P_ONE:
-            return _raw(_padd(self.num, o.num))
-        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return _raw(num, _pmul(self.den, o.den))
+        a, b, c, d = self._n, self._d, o._n, o._d
+        if b == _P_ONE and d == _P_ONE:
+            return _new(_padd(a, c), _P_ONE)
+        # Henrici: with g = gcd(b, d), t/(g*b'*d') can only cancel gcd(t, g)
+        g, b, d = _zgcd(b, d)
+        t = _padd(_pmul(a, d), _pmul(c, b))
+        if not t:
+            return ZERO
+        _, t, g = _zgcd(t, g)
+        return _new(t, _pmul(_pmul(g, b), d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        s = Scalar.__new__(Scalar)
-        s.num = {e: -c for e, c in self.num.items()}
-        s.den = self.den
-        return s
+        return _new({e: -c for e, c in self._n.items()}, self._d)
 
     def __sub__(self, other):
         o = _as_scalar(other)
@@ -245,7 +275,7 @@ class Scalar:
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
-        return _raw(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        return _times(self._n, self._d, o._n, o._d)
 
     __rmul__ = __mul__
 
@@ -253,9 +283,9 @@ class Scalar:
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
-        if not o.num:
+        if not o._n:
             raise ZeroDivisionError("zero divisor")
-        return _raw(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        return _times(self._n, self._d, o._d, o._n)
 
     def __rtruediv__(self, other):
         o = _as_scalar(other)
@@ -273,47 +303,61 @@ class Scalar:
         return out
 
     def inverse(self):
-        if not self.num:
+        if not self._n:
             raise ZeroDivisionError("zero divisor")
-        return _raw(self.den, self.num)
+        return _new(self._d, self._n)
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     def __eq__(self, other):
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self._n == o._n and self._d == o._d
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        return hash((frozenset(self._n.items()), frozenset(self._d.items())))
 
     def __str__(self):
-        if self.den == _P_ONE:
-            return _poly_text(self.num)
-        num, den = ("(%s)" % _poly_text(p) if len(p) > 1 else _poly_text(p)
-                    for p in (self.num, self.den))
-        return "%s/%s" % (num, den)
+        num, den = self._monic()
+        if den == _P_ONE:
+            return _poly_text(num)
+        return "%s/%s" % tuple("(%s)" % _poly_text(p) if len(p) > 1
+                               else _poly_text(p) for p in (num, den))
 
     def __repr__(self):
         return "Scalar(%s)" % self
 
     def needs_parens(self):
         # true when embedding the printed form in a product would re-associate
-        return self.den == _P_ONE and len(self.num) > 1
+        return len(self._d) == 1 and 0 in self._d and len(self._n) > 1
 
 
-def _raw(num, den=_P_ONE):
-    # arithmetic's constructor: its maps already hold no zero and no
-    # negative exponent, so only the reduction to normal form runs
+def _new(n, d):
+    # the scalar n/d from maps coprime in Z[z]: both signs flip when d's
+    # leading coefficient is negative, and zero is stored as {}/1
     s = Scalar.__new__(Scalar)
-    s.num, s.den = _lowest_terms(num, den)
+    if not n:
+        d = _P_ONE
+    elif d[max(d)] < 0:
+        n, d = ({e: -c for e, c in p.items()} for p in (n, d))
+    s._n, s._d = n, d
     return s
 
 
-ZERO = _raw({})
-ONE = _raw(_P_ONE)
+def _times(a, b, c, d):
+    # (a/b)*(c/d) from two quotients in lowest terms: by Henrici only
+    # gcd(a, d) and gcd(c, b) can cancel
+    if not a or not c:
+        return ZERO
+    _, a, d = _zgcd(a, d)
+    _, c, b = _zgcd(c, b)
+    return _new(_pmul(a, c), _pmul(b, d))
+
+
+ZERO = _new({}, _P_ONE)
+ONE = _new(_P_ONE, _P_ONE)
 
 
 def _as_scalar(x):

@@ -245,16 +245,30 @@ def test_derive_long_word_cost_is_bounded(capsys, derivation, expr):
 @pytest.mark.parametrize("lhs, rhs", [
     ("(z^10000 + 1)/(3*z^2 + 5*z + 1)", "1"),
     ("x^16", "y^16"),
-], ids=["dense-denominator", "long-words"])
+    ("x^28", "y^28"),
+], ids=["dense-denominator", "long-words", "longer-words"])
 def test_mul_cost_is_bounded(capsys, lhs, rhs):
-    # lowest terms come from an integer gcd, so neither a degree-10^4
-    # numerator over a dense denominator nor the scalars of a long word
-    # product cost seconds; cli_golden.json pins the x^12*y^12 output
+    # lowest terms come from an integer gcd on fraction-free maps, so
+    # neither a degree-10^4 numerator over a dense denominator nor the
+    # scalars of a long word product cost seconds; cli_golden.json pins
+    # the x^12*y^12 output
     start = time.perf_counter()
     code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
                          "--f", "0,1", "mul", lhs, rhs)
     assert time.perf_counter() - start < 2
     assert code == 0 and err == ""
+
+
+def test_mul_past_the_gcd_degree_cap_exits_2(capsys):
+    # a dense gcd past MAX_GCD_DEGREE is refused at once; a monomial
+    # (test_mul_huge_power) and the degree-10^4 quotient above still answer
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "mul", "(z^200000 - 1)/(z - 1)", "1")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == ("error: a polynomial gcd of degree 200000 is past the "
+                   "limit of 100000\n")
 
 
 def test_inner_witness(capsys):

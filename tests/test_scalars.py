@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -56,6 +57,27 @@ def test_constructor_returns_the_canonical_form():
         Scalar({-1: 1})
     with pytest.raises(ValueError, match="negative exponent -2"):
         Scalar({0: 1}, {-2: 1})
+
+
+@pytest.mark.parametrize("bad", [0.1, "1", None])
+def test_constructor_refuses_inexact_coefficients(bad):
+    for num, den in (({0: bad}, {0: 1}), ({0: 1}, {0: bad}),
+                     ({1: 1, 0: bad}, {2: 1}), ({0: 1}, {1: bad, 0: 3})):
+        with pytest.raises(TypeError, match="not an exact coefficient"):
+            Scalar(num, den)
+
+
+def test_dense_gcd_past_the_degree_cap_is_refused(monkeypatch):
+    # a monomial on either side never reaches the cap
+    from downup import scalars
+    monkeypatch.setattr(scalars, "MAX_GCD_DEGREE", 10)
+    assert Scalar({10: 1, 0: -1}, {1: 1, 0: -1}).den == {0: 1}
+    assert Scalar({11: 1, 0: -1}, {5: 2}) * Scalar({3: 1}) \
+        == Scalar({14: 1, 3: -1}, {5: 2})
+    with pytest.raises(ValueError, match="degree 11 is past the limit of 10"):
+        Scalar({11: 1, 0: -1}, {1: 1, 0: -1})
+    with pytest.raises(ValueError, match="degree 11"):
+        Scalar({14: 1, 3: 1}) / Scalar({1: 1, 0: 1})
 
 
 def test_z_power_is_one_term_for_any_exponent():
@@ -149,6 +171,57 @@ def test_arithmetic_matches_sympy_property():
                                    st.tuples(laurent, monomial_num)), 25)):
         hypothesis.settings(max_examples=runs, deadline=None, database=None)(
             hypothesis.given(pairs)(check))()
+
+
+def test_stored_form_property():
+    # the stored maps are integer, coprime in Z[z] (sympy's gcd over ZZ,
+    # contents included) with a positive lead in the denominator, and
+    # scaling num and den by one nonzero q in Z[z] leaves the value,
+    # and its hash, unchanged
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rings import ring
+    st = hypothesis.strategies
+    R, _ = ring("z", ZZ)
+
+    def stored_form(s):
+        n, d = s._n, s._d
+        assert all(type(c) is int and c for c in (*n.values(), *d.values()))
+        assert d[max(d)] > 0 and math.gcd(*n.values(), *d.values()) == 1
+        assert R.from_dict({(e,): c for e, c in n.items()}).gcd(
+            R.from_dict({(e,): c for e, c in d.items()})) == 1
+
+    def times(m, q):
+        out = {}
+        for i, a in m.items():
+            for j, b in q.items():
+                out[i + j] = out.get(i + j, 0) + a * b
+        return out
+
+    exponents = st.integers(0, 6)
+    rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    nums = st.dictionaries(exponents, rationals, max_size=4)
+    dens = st.dictionaries(exponents, rationals, min_size=1,
+                           max_size=4).filter(lambda m: any(m.values()))
+    polys = st.dictionaries(exponents, st.integers(-9, 9), min_size=1,
+                            max_size=3).filter(lambda m: any(m.values()))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(nums, dens, nums, dens, st.integers(-20, 20).filter(bool),
+                      polys)
+    def check(num, den, num2, den2, c, q):
+        a, b = Scalar(num, den), Scalar(num2, den2)
+        q = {e: c * v for e, v in q.items()}
+        scaled = Scalar(times(num, q), times(den, q))
+        assert scaled == a and hash(scaled) == hash(a)
+        for s in (a, -a, a + b, a - b, a * b):
+            stored_form(s)
+        if b:
+            stored_form(a / b)
+            stored_form(b.inverse())
+
+    check()
 
 
 def test_integer_gcd_and_remainder_sequence_match_sympy():
