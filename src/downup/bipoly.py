@@ -17,14 +17,13 @@ class _Sparse:
     zero, so == is dict equality.  Subclasses give the keys a meaning and
     supply _coerce, which makes an operand a sum of the same kind or None."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     @classmethod
     def _raw(cls, terms):
         # arithmetic's constructor: the map already holds no zero
         s = cls.__new__(cls)
         s.terms = terms
-        s._hash = None
         return s
 
     def __add__(self, other):
@@ -68,9 +67,7 @@ class _Sparse:
         return self.terms == o.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self)
@@ -81,14 +78,11 @@ class BiPoly(_Sparse):
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (i, j), c in items:
-                if i < 0 or j < 0:
-                    raise ValueError("negative exponent (%d, %d)" % (i, j))
-                _accumulate(clean, (i, j), _to_scalar(c))
+        for (i, j), c in (terms or {}).items():
+            if i < 0 or j < 0:
+                raise ValueError("negative exponent (%d, %d)" % (i, j))
+            _accumulate(clean, (i, j), _to_scalar(c))
         self.terms = clean
-        self._hash = None
 
     @classmethod
     def _coerce(cls, x):

@@ -24,7 +24,7 @@ is factorization-independent for every constructed derivation.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 
 from .bipoly import BiPoly, apply_phi_power, diff_h, exact_divide_by_a
@@ -264,17 +264,16 @@ def coupled_alpha_spec(spec, w, h_coeffs):
 def _c_type_factor(spec, c0, n):
     """C_n with D(v_n) = C_n v_n for the c-type derivation of c0:
     sum_{j<n} mu^{-(n-1-j)} phi^j(c0) for n > 0, and for n = -m < 0
-    -sum_{j<m} mu^{m-j} phi^{-(j+1)}(c0), which is the same sum over
-    phi^p for p = -1, ..., n.  Each monomial of c0 picks up one sum of
-    powers of z, built in a single pass."""
-    powers = range(n) if n > 0 else range(-1, n - 1, -1)
-    out = {}
+    -sum_{j<m} mu^{m-j} phi^{-(j+1)}(c0).  phi scales h^i k^j by
+    z^(n1 i + d j), so on that monomial both sums are the geometric sum
+    z^(n2 (n-1)) (q^n - 1)/(q - 1) for q = z^(n1 i + d j - n2), which is
+    n z^(n2 (n-1)) when q = 1."""
+    base, out = spec.n2 * (n - 1), {}
     for (i, j), c in c0.terms.items():
-        lam = spec.n1 * i + spec.d * j           # phi scales h^i k^j by z^lam
-        exps = Counter(p * lam + spec.n2 * (n - 1 - p) for p in powers)
-        low = min(0, min(exps))
-        total = Scalar({e - low: m for e, m in exps.items()}, {-low: 1}) * c
-        out[(i, j)] = total if n > 0 else -total
+        e = spec.n1 * i + spec.d * j - spec.n2
+        total = (Scalar.z_power(base + e * n) - Scalar.z_power(base)) \
+            / (Scalar.z_power(e) - ONE) if e else n / Scalar.z_power(-base)
+        out[(i, j)] = total * c
     return BiPoly._raw(out)
 
 

@@ -30,7 +30,6 @@ class GwaElement(_Sparse):
                 if p:
                     clean[int(w)] = p
         self.terms = clean
-        self._hash = None
 
     @classmethod
     def _coerce(cls, x):

@@ -169,11 +169,12 @@ def _signed_sum(parts):
     return text
 
 
-def _poly_text(cs):
-    # descending powers, omitted unit coefficients: "2*z^3 - z + 1"
+def _poly_text(cs, lead):
+    # cs/lead in descending powers, omitted unit coefficients:
+    # "2*z^3 - z + 1"
     parts = []
     for e in sorted(cs, reverse=True):
-        c = Fraction(cs[e])
+        c = Fraction(cs[e], lead)
         if e == 0:
             body = str(c)
         else:
@@ -191,15 +192,14 @@ def _poly_text(cs):
 class Scalar:
     """A rational function of z in lowest terms over Z[z].
 
-    The value is _n/_d: maps from exponents to nonzero integers, coprime
-    in Z[z], contents included, with a positive lead in _d.  This normal
-    form makes == genuine field equality, so scalars can key dictionaries
-    and witness exact identities.  The read-only num and den give it over
-    a monic denominator.  Results share maps, so no map held by a Scalar
-    is ever mutated.
+    The value is num/den: maps from exponents to nonzero integers,
+    coprime in Z[z], contents included, with a positive lead in den.
+    This normal form makes == genuine field equality, so scalars can key
+    dictionaries and witness exact identities.  Results share maps, so no
+    map held by a Scalar is ever mutated.
     """
 
-    __slots__ = ("_n", "_d")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=_P_ONE):
         num, den = _checked(num), _checked(den)
@@ -209,7 +209,7 @@ class Scalar:
         num, den = ({e: c.numerator * (m // c.denominator)
                      for e, c in p.items()} for p in (num, den))
         s = _new(*_zgcd(num, den)[1:]) if num else ZERO
-        self._n, self._d = s._n, s._d
+        self.num, self.den = s.num, s.den
 
     @classmethod
     def from_rational(cls, q):
@@ -225,25 +225,13 @@ class Scalar:
             return _new({e: 1}, _P_ONE)
         return _new(_P_ONE, {-e: 1})
 
-    num = property(lambda self: self._monic()[0],
-                   doc="The numerator over den: exponent -> rational.")
-    den = property(lambda self: self._monic()[1],
-                   doc="The monic denominator: exponent -> rational.")
-
-    def _monic(self):
-        lc = self._d[max(self._d)]
-        if lc == 1:
-            return self._n, self._d
-        return tuple({e: Fraction(c, lc) for e, c in p.items()}
-                     for p in (self._n, self._d))
-
     # -- ring/field structure ------------------------------------------------
 
     def __add__(self, other):
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self._n, self._d, o._n, o._d
+        a, b, c, d = self.num, self.den, o.num, o.den
         if b == _P_ONE and d == _P_ONE:
             return _new(_padd(a, c), _P_ONE)
         # Henrici: with g = gcd(b, d), t/(g*b'*d') can only cancel gcd(t, g)
@@ -257,7 +245,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return _new({e: -c for e, c in self._n.items()}, self._d)
+        return _new({e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         o = _as_scalar(other)
@@ -275,7 +263,7 @@ class Scalar:
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
-        return _times(self._n, self._d, o._n, o._d)
+        return _times(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -283,9 +271,9 @@ class Scalar:
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
-        if not o._n:
+        if not o.num:
             raise ZeroDivisionError("zero divisor")
-        return _times(self._n, self._d, o._d, o._n)
+        return _times(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
         o = _as_scalar(other)
@@ -303,35 +291,37 @@ class Scalar:
         return out
 
     def inverse(self):
-        if not self._n:
+        if not self.num:
             raise ZeroDivisionError("zero divisor")
-        return _new(self._d, self._n)
+        return _new(self.den, self.num)
 
     def __bool__(self):
-        return bool(self._n)
+        return bool(self.num)
 
     def __eq__(self, other):
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
-        return self._n == o._n and self._d == o._d
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((frozenset(self._n.items()), frozenset(self._d.items())))
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     def __str__(self):
-        num, den = self._monic()
-        if den == _P_ONE:
-            return _poly_text(num)
-        return "%s/%s" % tuple("(%s)" % _poly_text(p) if len(p) > 1
-                               else _poly_text(p) for p in (num, den))
+        # printed over a monic denominator
+        lead = self.den[max(self.den)]
+        if self.den.keys() == {0}:
+            return _poly_text(self.num, lead)
+        return "%s/%s" % tuple("(%s)" % _poly_text(p, lead) if len(p) > 1
+                               else _poly_text(p, lead)
+                               for p in (self.num, self.den))
 
     def __repr__(self):
         return "Scalar(%s)" % self
 
     def needs_parens(self):
         # true when embedding the printed form in a product would re-associate
-        return len(self._d) == 1 and 0 in self._d and len(self._n) > 1
+        return self.den.keys() == {0} and len(self.num) > 1
 
 
 def _new(n, d):
@@ -342,7 +332,7 @@ def _new(n, d):
         d = _P_ONE
     elif d[max(d)] < 0:
         n, d = ({e: -c for e, c in p.items()} for p in (n, d))
-    s._n, s._d = n, d
+    s.num, s.den = n, d
     return s
 
 

@@ -271,6 +271,31 @@ def test_mul_past_the_gcd_degree_cap_exits_2(capsys):
                    "limit of 100000\n")
 
 
+def test_derive_c_type_past_the_gcd_degree_cap_exits_2(capsys):
+    # C_n is z^(n2 (n-1)) (q^n - 1)/(q - 1): for c0 = 1 and a word of
+    # length 10^9 that quotient is a dense gcd of degree 2*10^9
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "derive", "--derivation", "c0 = 1",
+                         "x^1000000000")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == ("error: a polynomial gcd of degree 2000000000 is past "
+                   "the limit of 100000\n")
+
+
+def test_derive_c_type_with_q_one_is_one_term(capsys):
+    # at (1,3,2) k^2 has q = 1, so C_n is the one term n z^(n2 (n-1))
+    # however long the word
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "derive", "--derivation", "c0 = k^2",
+                         "y^1000000000")
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == \
+        (0, "-1000000000/z^2000000002*k^2*y^1000000000\n", "")
+
+
 def test_inner_witness(capsys):
     code, out, err = run(capsys, "--d", "1", "--n1", "2", "--n2", "5",
                          "inner", "--c0", "h*k^3")

@@ -382,10 +382,12 @@ def test_apply_guards():
 @pytest.mark.parametrize("c0", [
     H * K,
     H ** 2 / (Scalar.z_power(1) + 1) - K + 1,
-], ids=["hk", "mixed"])
+    K ** 2,
+], ids=["hk", "mixed", "k2"])
 def test_word_derivative_matches_leibniz_unrolling(c0, n):
     # the closed form of D(v_n) against the word built one generator at a
-    # time from D(x) = c0 x and D(y) = -mu phi^{-1}(c0) y
+    # time from D(x) = c0 x and D(y) = -mu phi^{-1}(c0) y; at the standard
+    # point k^2 is the non-inner monomial, where C_n has q = 1
     A = std_algebra()
     D = build_c_derivation(A.spec, CTypeSpec(c0))
     mu = Scalar.z_power(-A.spec.n2)

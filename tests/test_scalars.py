@@ -42,10 +42,15 @@ def test_canonical_form_is_hashable_equality():
     assert len({a, b}) == 1
 
 
-def test_denominator_kept_monic():
+def test_denominator_kept_with_positive_lead():
+    # the stored maps are integer with joint content 1 and a positive lead
+    # in den; only the printed form divides by that lead
     s = Scalar({0: 1}, {1: 2, 0: 2})    # 1/(2z + 2)
-    assert s.den == {1: Fraction(1), 0: Fraction(1)}
-    assert s.num == {0: Fraction(1, 2)}
+    assert (s.num, s.den) == ({0: 1}, {1: 2, 0: 2})
+    assert all(type(c) is int for c in (*s.num.values(), *s.den.values()))
+    assert Scalar({0: -1}, {1: -2, 0: -2}) == s
+    assert Scalar({0: Fraction(1, 2)}, {1: 1, 0: 1}) == s
+    assert str(s) == "1/2/(z + 1)"
 
 
 def test_constructor_returns_the_canonical_form():
@@ -110,8 +115,9 @@ def test_arithmetic_leaves_operands_unchanged():
 def test_arithmetic_matches_sympy_property():
     # an independent check of the normal form: with sympy's arithmetic
     # and gcd over QQ[z], each result equals the unreduced fraction, its
-    # numerator and denominator are coprime and its denominator is monic,
-    # which pins one representative of each element of Q(z)
+    # numerator and denominator are coprime, its denominator has a positive
+    # lead and the two integer maps have joint content 1, which pins one
+    # representative of each element of Q(z)
     hypothesis = pytest.importorskip("hypothesis")
     pytest.importorskip("sympy")
     from sympy.polys.domains import QQ
@@ -127,7 +133,8 @@ def test_arithmetic_matches_sympy_property():
         sn, sd = poly(s.num), poly(s.den)
         return (all(s.num.values()) and all(s.den.values())
                 and sn * den == sd * num and sn.gcd(sd).is_ground
-                and sd.LC == 1)
+                and sd.LC > 0
+                and math.gcd(*s.num.values(), *s.den.values()) == 1)
 
     rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
     nonzero = rationals.filter(bool)
@@ -186,7 +193,7 @@ def test_stored_form_property():
     R, _ = ring("z", ZZ)
 
     def stored_form(s):
-        n, d = s._n, s._d
+        n, d = s.num, s.den
         assert all(type(c) is int and c for c in (*n.values(), *d.values()))
         assert d[max(d)] > 0 and math.gcd(*n.values(), *d.values()) == 1
         assert R.from_dict({(e,): c for e, c in n.items()}).gcd(
