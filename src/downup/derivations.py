@@ -39,8 +39,8 @@ class DerivationError(ValueError):
 # ---------------------------------------------------------------------------
 # index sets
 
-# most members a finite index set may list; a larger set would be built
-# and printed element by element
+# most members a finite index set, or terms a c-type factor C_n, may
+# list; a larger one would be built and printed element by element
 MAX_INDEX_SET = 100_000
 
 
@@ -264,16 +264,20 @@ def coupled_alpha_spec(spec, w, h_coeffs):
 def _c_type_factor(spec, c0, n):
     """C_n with D(v_n) = C_n v_n for the c-type derivation of c0:
     sum_{j<n} mu^{-(n-1-j)} phi^j(c0) for n > 0, and for n = -m < 0
-    -sum_{j<m} mu^{m-j} phi^{-(j+1)}(c0).  phi scales h^i k^j by
-    z^(n1 i + d j), so on that monomial both sums are the geometric sum
-    z^(n2 (n-1)) (q^n - 1)/(q - 1) for q = z^(n1 i + d j - n2), which is
+    -sum_{j<m} mu^{m-j} phi^{-(j+1)}(c0), which is the same sum over
+    phi^p for p = n, ..., -1.  phi scales h^i k^j by z^(n1 i + d j), so
+    on that monomial the sum is z^(n2 (n-1)) times sum_p q^p for
+    q = z^(n1 i + d j - n2): |n| distinct powers of z, or the one term
     n z^(n2 (n-1)) when q = 1."""
     base, out = spec.n2 * (n - 1), {}
+    powers, sign = (range(n), 1) if n > 0 else (range(n, 0), -1)
     for (i, j), c in c0.terms.items():
         e = spec.n1 * i + spec.d * j - spec.n2
-        total = (Scalar.z_power(base + e * n) - Scalar.z_power(base)) \
-            / (Scalar.z_power(e) - ONE) if e else n / Scalar.z_power(-base)
-        out[(i, j)] = total * c
+        if e and len(powers) > MAX_INDEX_SET:
+            raise DerivationError("c-type factor C_%d has %d terms, more "
+                                  "than %d" % (n, len(powers), MAX_INDEX_SET))
+        out[(i, j)] = Scalar.laurent({base + e * p: sign for p in powers}
+                                     if e else {base: n}) * c
     return BiPoly._raw(out)
 
 

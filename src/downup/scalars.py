@@ -196,7 +196,8 @@ class Scalar:
     coprime in Z[z], contents included, with a positive lead in den.
     This normal form makes == genuine field equality, so scalars can key
     dictionaries and witness exact identities.  Results share maps, so no
-    map held by a Scalar is ever mutated.
+    map held by a Scalar is ever mutated, and num and den are never
+    assigned after construction: == and hash read them as they are.
     """
 
     __slots__ = ("num", "den")
@@ -224,6 +225,15 @@ class Scalar:
         if e >= 0:
             return _new({e: 1}, _P_ONE)
         return _new(_P_ONE, {-e: 1})
+
+    @classmethod
+    def laurent(cls, terms):
+        """The sum of c z^e over a nonempty map from integers e, negative
+        ones included, to nonzero ints c.  Over z^(-low) for the lowest
+        e < 0, the numerator has a constant term, so the pair is already
+        coprime and nothing is reduced."""
+        low = min(0, min(terms))
+        return _new({e - low: c for e, c in terms.items()}, {-low: 1})
 
     # -- ring/field structure ------------------------------------------------
 

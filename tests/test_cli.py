@@ -271,29 +271,35 @@ def test_mul_past_the_gcd_degree_cap_exits_2(capsys):
                    "limit of 100000\n")
 
 
-def test_derive_c_type_past_the_gcd_degree_cap_exits_2(capsys):
-    # C_n is z^(n2 (n-1)) (q^n - 1)/(q - 1): for c0 = 1 and a word of
-    # length 10^9 that quotient is a dense gcd of degree 2*10^9
+def test_derive_c_type_past_the_term_cap_exits_2(capsys):
+    # on a monomial with q != 1, C_n has |n| distinct powers of z: for
+    # c0 = 1 and a word of length 10^9 that is past MAX_INDEX_SET
     start = time.perf_counter()
     code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
                          "--f", "0,1", "derive", "--derivation", "c0 = 1",
                          "x^1000000000")
     assert time.perf_counter() - start < 2
     assert (code, out) == (2, "")
-    assert err == ("error: a polynomial gcd of degree 2000000000 is past "
-                   "the limit of 100000\n")
+    assert err == ("error: c-type factor C_1000000000 has 1000000000 "
+                   "terms, more than 100000\n")
 
 
-def test_derive_c_type_with_q_one_is_one_term(capsys):
+@pytest.mark.parametrize("c0, word, expected", [
+    ("c0 = k^2", "y^1000000000",
+     "-1000000000/z^2000000002*k^2*y^1000000000\n"),
+    ("c0 = h^33335", "x", "h^33335*x\n"),
+    ("c0 = h^30000", "x^2", "(z^90000 + z^2)*h^30000*x^2\n"),
+], ids=["q-one", "high-degree-c0-x", "high-degree-c0-x2"])
+def test_derive_c_type_cost_follows_the_word_length(capsys, c0, word,
+                                                    expected):
     # at (1,3,2) k^2 has q = 1, so C_n is the one term n z^(n2 (n-1))
-    # however long the word
+    # however long the word; h^33335 has q = z^100003, yet C_1 = 1 and
+    # C_2 = z^2 + z^(e + 2) cost a term per letter
     start = time.perf_counter()
     code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
-                         "--f", "0,1", "derive", "--derivation", "c0 = k^2",
-                         "y^1000000000")
+                         "--f", "0,1", "derive", "--derivation", c0, word)
     assert time.perf_counter() - start < 2
-    assert (code, out, err) == \
-        (0, "-1000000000/z^2000000002*k^2*y^1000000000\n", "")
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_inner_witness(capsys):

@@ -402,6 +402,23 @@ def test_word_derivative_matches_leibniz_unrolling(c0, n):
     assert apply_derivation(A, D, word) == dword
 
 
+def test_c_type_factor_term_cap(monkeypatch):
+    # C_n on a monomial with q != 1 has |n| terms and is refused past
+    # MAX_INDEX_SET; a q = 1 monomial is one term at any length
+    import downup.derivations as derivations
+    monkeypatch.setattr(derivations, "MAX_INDEX_SET", 5)
+    A = std_algebra()
+    D = build_c_derivation(A.spec, CTypeSpec(BiPoly.one()))
+    assert len(apply_derivation(A, D, basis_word(5)).terms[5].terms[(0, 0)]
+               .num) == 5
+    for n in (6, -6):
+        with pytest.raises(DerivationError,
+                           match="C_%d has 6 terms, more than 5" % n):
+            apply_derivation(A, D, basis_word(n))
+    Dk = build_c_derivation(A.spec, CTypeSpec(K ** 2))
+    assert apply_derivation(A, Dk, basis_word(-1000)).weights() == [-1000]
+
+
 def test_word_derivative_does_not_recurse():
     # a word longer than the recursion limit: D(v_n) is one closed-form
     # sum, not a chain of n nested calls

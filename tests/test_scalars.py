@@ -93,6 +93,19 @@ def test_z_power_is_one_term_for_any_exponent():
     assert str(Scalar.z_power(-10 ** 9)) == "1/z^1000000000"
 
 
+def test_laurent_is_the_stored_form_of_its_sum():
+    # the same scalar as the sum of its terms, stored over z^(-low) with
+    # no reduction
+    for terms in ({0: 5}, {3: -2, 1: 1}, {-2: 1, 3: -4}, {-3: -1, -1: 6}):
+        s = Scalar.laurent(terms)
+        assert s == sum((c * Scalar.z_power(e) for e, c in terms.items()),
+                        ZERO)
+        low = min(0, min(terms))
+        assert (s.num, s.den) == ({e - low: c for e, c in terms.items()},
+                                  {-low: 1})
+    assert str(Scalar.laurent({-2: 1, 3: -4})) == "(-4*z^5 + 1)/z^2"
+
+
 def test_arithmetic_leaves_operands_unchanged():
     # results share maps with their operands, so no operation may write
     # into a map it did not create
