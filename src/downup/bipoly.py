@@ -6,10 +6,11 @@ _Sparse, the one finite-sum type, which GwaElement shares.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
-from .scalars import (ONE, ZERO, Scalar, _accumulate, _as_scalar, _padd,
-                      _signed_sum, _times_text, _to_scalar)
+from .scalars import (ONE, ZERO, _accumulate, _as_scalar, _padd, _signed_sum,
+                      _times_text, _to_scalar)
 
 
 class _Sparse:
@@ -79,6 +80,7 @@ class BiPoly(_Sparse):
     def __init__(self, terms=None):
         clean = {}
         for (i, j), c in (terms or {}).items():
+            i, j = operator.index(i), operator.index(j)
             if i < 0 or j < 0:
                 raise ValueError("negative exponent (%d, %d)" % (i, j))
             _accumulate(clean, (i, j), _to_scalar(c))
@@ -173,14 +175,15 @@ def _monomial_text(i, j):
 def apply_phi_power(spec, p, w):
     """The scaling automorphism applied w times: h -> r^w h, k -> s^w k.
 
-    Closed form: the coefficient at (i, j) picks up z^(w*(n1*i + d*j)).
-    Negative w inverts exactly; w = 0 is the identity.
+    Closed form: the coefficient at (i, j) picks up z^(w*(n1*i + d*j)),
+    a shift of its exponents with no gcd (Scalar.times_z).  Negative w
+    inverts exactly; w = 0 is the identity.
     """
-    w = int(w)
+    w = operator.index(w)
     if w == 0:
         return p
     return BiPoly._raw({
-        (i, j): c * Scalar.z_power(w * (spec.n1 * i + spec.d * j))
+        (i, j): c.times_z(w * (spec.n1 * i + spec.d * j))
         for (i, j), c in p.terms.items()})
 
 

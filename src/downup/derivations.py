@@ -24,6 +24,7 @@ is factorization-independent for every constructed derivation.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -213,7 +214,7 @@ def build_alpha_derivation(spec, g, aspec):
     without which no twisted derivation takes those values on h and k
     (the two factorizations of hk would disagree).
     """
-    w = int(aspec.w)
+    w = operator.index(aspec.w)
     if w == 0:
         raise DerivationError("alpha weight must be nonzero")
     alpha_h, alpha_k = _alpha_value_polys(spec, aspec)
@@ -241,7 +242,7 @@ def coupled_alpha_spec(spec, w, h_coeffs):
     (s^w - 1)/(r^w - 1).  The index 0 value on h admits no partner and
     is therefore not offered.
     """
-    w = int(w)
+    w = operator.index(w)
     if w == 0:
         raise DerivationError("alpha weight must be nonzero")
     ratio = (Scalar.z_power(spec.d * w) - ONE) / (Scalar.z_power(spec.n1 * w) - ONE)

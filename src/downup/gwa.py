@@ -6,15 +6,19 @@ Elements are finite sums  sum_w  p_w(h, k) * v_w  with p_w a BiPoly and
 
 The defining data are x*y = phi(a), y*x = a for the distinguished
 polynomial a = k + g(h), together with x*p = phi(p)*x and y*p =
-phi^{-1}(p)*y, where phi scales h by r and k by s.  Products of basis
-words are reduced one adjacent x,y pair at a time, so every answer is a
-chain of the two defining rewrites.
+phi^{-1}(p)*y, where phi scales h by r and k by s.  As r, s and mu are
+powers of z, phi and sigma_mu multiply each coefficient by a power of z,
+which shifts its exponents with no gcd.  Same-sign basis words multiply
+freely; an opposite-sign pair is reduced one adjacent x,y pair at a time,
+so every answer is a chain of the two defining rewrites.
 """
 
 from __future__ import annotations
 
+import operator
+
 from .bipoly import BiPoly, _Sparse, apply_phi_power
-from .scalars import Scalar, _accumulate, _signed_sum, _times_text
+from .scalars import _accumulate, _signed_sum, _times_text
 
 
 class GwaElement(_Sparse):
@@ -28,7 +32,7 @@ class GwaElement(_Sparse):
             for w, p in components.items():
                 p = p if isinstance(p, BiPoly) else BiPoly.const(p)
                 if p:
-                    clean[int(w)] = p
+                    clean[operator.index(w)] = p
         self.terms = clean
 
     @classmethod
@@ -71,7 +75,8 @@ def _word_text(w):
 
 class GwaAlgebra:
     """Parameters, the distinguished polynomial a = k + g(h), and the
-    word-product coefficients built so far (``words``, see _word_product)."""
+    word-product coefficients built so far (``words``, see
+    _word_coefficient)."""
 
     __slots__ = ("spec", "g", "a", "phi_a", "words")
 
@@ -91,7 +96,7 @@ class GwaAlgebra:
 
 def basis_word(w):
     """The basis word v_w as an element (v_0 = 1)."""
-    return GwaElement._raw({int(w): BiPoly.one()})
+    return GwaElement._raw({operator.index(w): BiPoly.one()})
 
 
 def from_poly(p):
@@ -99,17 +104,15 @@ def from_poly(p):
     return GwaElement._raw({0: p}) if p else GwaElement()
 
 
-def _word_product(A, m, n):
-    """Reduce v_m * v_n to (coefficient, v_{m+n}) one rewrite at a time.
+def _word_coefficient(A, m, n):
+    """The coefficient c of v_m * v_n = c v_{m+n} for m, n of opposite
+    signs, reduced one rewrite at a time.
 
     Each rewrite eliminates the innermost adjacent x,y pair via x*y ->
     phi(a) or y*x -> a and commutes the result leftward, which costs one
-    power of phi.  Same-sign words multiply freely.  The coefficient
-    depends only on m and the number t of cancelled pairs, so the algebra
-    keeps it under (m, t) once built.
+    power of phi.  The coefficient depends only on m and the number t of
+    cancelled pairs, so the algebra keeps it under (m, t) once built.
     """
-    if m * n >= 0:
-        return BiPoly.one(), m + n
     key = (m, min(abs(m), abs(n)))
     coeff = A.words.get(key)
     if coeff is None:
@@ -120,29 +123,34 @@ def _word_product(A, m, n):
             e = m - j if m > 0 else m + 1 + j
             coeff = coeff * apply_phi_power(A.spec, A.a, e)
         A.words[key] = coeff
-    return coeff, m + n
+    return coeff
 
 
 def gwa_mul(A, u, v):
     """Product in the algebra.
 
     Polynomials pass through the basis word on their left by phi:
-    (p v_m)(q v_n) = p phi^m(q) (v_m v_n).
+    (p v_m)(q v_n) = p phi^m(q) (v_m v_n), where v_m v_n = v_{m+n} when
+    m*n >= 0 and picks up _word_coefficient otherwise.
     """
     out = {}
     for m, p in u.terms.items():
         for n, q in v.terms.items():
-            coeff, w = _word_product(A, m, n)
-            _accumulate(out, w, p * apply_phi_power(A.spec, q, m) * coeff)
+            term = p * apply_phi_power(A.spec, q, m)
+            if m * n < 0:
+                term = term * _word_coefficient(A, m, n)
+            _accumulate(out, m + n, term)
     return GwaElement._raw(out)
 
 
 def apply_sigma_mu(A, u, power=1):
-    """The degree automorphism: weight-w components scale by mu^(-w).
+    """The degree automorphism: weight-w components scale by mu^(-w),
+    that is z^(n2*w), a shift of each coefficient's exponents.
 
     power = -1 applies the inverse (coarseness mu^{-1}); general integer
     powers compose the closed form.
     """
-    n2 = A.spec.n2 * int(power)
-    return GwaElement._raw({w: p * Scalar.z_power(n2 * w)
-                 for w, p in u.terms.items()})
+    n2 = A.spec.n2 * operator.index(power)
+    return GwaElement._raw({
+        w: BiPoly._raw({key: c.times_z(n2 * w) for key, c in p.terms.items()})
+        for w, p in u.terms.items()})

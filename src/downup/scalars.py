@@ -14,6 +14,7 @@ sums reduce it by gcds of cross pairs only (Henrici, JACM 3, 1956).
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -150,7 +151,8 @@ def _zgcd(f, g):
 
 def _checked(poly):
     # a caller's map as a fresh map with no zero and no negative exponent,
-    # holding exact coefficients only
+    # holding integer exponents and exact coefficients only
+    poly = {operator.index(e): c for e, c in poly.items()}
     if any(e < 0 for e in poly):
         raise ValueError("negative exponent %d" % min(poly))
     for c in poly.values():
@@ -234,6 +236,20 @@ class Scalar:
         coprime and nothing is reduced."""
         low = min(0, min(terms))
         return _new({e - low: c for e, c in terms.items()}, {-low: 1})
+
+    def times_z(self, e):
+        """self * z^e for any integer e, with no gcd.  As num and den are
+        coprime, only a power of z can cancel: z^min(e, ord_z den) for
+        e > 0, z^min(-e, ord_z num) for e < 0.  Leads and contents stay as
+        they are (Henrici, JACM 3, 1956)."""
+        n, d = self.num, self.den
+        if not e or not n:
+            return self
+        # the lower of the orders of num*z^e and den, taken from both
+        t = min(min(n) + e, min(d))
+        s = Scalar.__new__(Scalar)
+        s.num, s.den = _shifted(n, e - t), _shifted(d, -t)
+        return s
 
     # -- ring/field structure ------------------------------------------------
 
@@ -344,6 +360,11 @@ def _new(n, d):
         n, d = ({e: -c for e, c in p.items()} for p in (n, d))
     s.num, s.den = n, d
     return s
+
+
+def _shifted(p, k):
+    # the map of p * z^k, sharing p when k is 0
+    return {e + k: c for e, c in p.items()} if k else p
 
 
 def _times(a, b, c, d):

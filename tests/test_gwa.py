@@ -6,10 +6,12 @@ from itertools import product
 import pytest
 
 import downup.gwa
-from downup import (BiPoly, DownUpPresentation, GwaAlgebra, GwaElement, Scalar,
-                    apply_phi_power, apply_sigma_mu, basis_word, from_poly,
-                    gwa_mul, oracle_normalize)
-from downup.gwa import _word_product
+import downup.scalars
+from downup import (AlphaSpec, BiPoly, DownUpPresentation, GwaAlgebra,
+                    GwaElement, Scalar, apply_phi_power, apply_sigma_mu,
+                    basis_word, build_alpha_derivation, coupled_alpha_spec,
+                    from_poly, gwa_mul, oracle_normalize, validate_param_spec)
+from downup.gwa import _word_coefficient
 from downup.sampling import random_element
 
 from support import std_algebra, std_spec
@@ -94,17 +96,56 @@ def test_repeated_word_pair_applies_no_phi(monkeypatch):
         return apply_phi_power(spec, p, e)
 
     monkeypatch.setattr(downup.gwa, "apply_phi_power", counting)
-    coeff, weight = _word_product(A, 2, -3)
-    assert calls == [2, 1] and weight == -1
+    coeff = _word_coefficient(A, 2, -3)
+    assert calls == [2, 1]
     assert coeff == apply_phi_power(A.spec, A.a, 2) * A.phi_a
     # the coefficient depends on m and the number of cancelled pairs only
-    assert _word_product(A, 2, -3) == (coeff, -1)
-    assert _word_product(A, 2, -5) == (coeff, -3)
+    assert _word_coefficient(A, 2, -3) == coeff
+    assert _word_coefficient(A, 2, -5) == coeff
     assert calls == [2, 1]
-    coeff, weight = _word_product(A, -2, 3)
-    assert calls == [2, 1, -1, 0] and weight == 1
-    assert _word_product(A, -2, 5) == (coeff, 3)
+    coeff_y = _word_coefficient(A, -2, 3)
     assert calls == [2, 1, -1, 0]
+    assert _word_coefficient(A, -2, 5) == coeff_y
+    assert calls == [2, 1, -1, 0]
+    # gwa_mul reads the kept coefficient and applies phi to its right
+    # operand only, landing on weight m + n
+    assert gwa_mul(A, basis_word(2), basis_word(-5)) == GwaElement({-3: coeff})
+    assert gwa_mul(A, basis_word(-2), basis_word(3)) == GwaElement({1: coeff_y})
+    assert calls == [2, 1, -1, 0, 2, -2]
+
+
+def test_z_shifts_take_no_gcd(monkeypatch):
+    # phi, sigma_mu and the free product of same-sign words multiply by
+    # powers of z only, which shift exponents; an opposite-sign pair still
+    # multiplies by its word coefficient
+    A = std_algebra(validate_param_spec(2, 3, 5))
+    p = BiPoly({(1, 2): Scalar({2: 3, 0: -1}, {1: 2, 0: 1})})
+    q = BiPoly({(2, 1): Scalar({1: -4}, {0: 1, 2: 7})})
+    u = GwaElement({-2: p, 0: q, 3: p + q + Fraction(-2, 3)})
+    for m, n in [(2, -3), (-1, 2)]:         # warm the word memo
+        gwa_mul(A, basis_word(m), basis_word(n))
+    calls = []
+    zgcd = downup.scalars._zgcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return zgcd(f, g)
+
+    monkeypatch.setattr(downup.scalars, "_zgcd", counting)
+    for w in range(-3, 4):
+        apply_phi_power(A.spec, p + q, w)
+        apply_sigma_mu(A, u, w)
+    assert calls == []
+    for m, n in [(2, 3), (-1, -2), (0, 4), (-3, 0), (0, 0), (2, -3), (-1, 2)]:
+        p * apply_phi_power(A.spec, q, m)
+        expected = len(calls)
+        del calls[:]
+        gwa_mul(A, GwaElement({m: p}), GwaElement({n: q}))
+        if m * n >= 0:
+            assert expected and len(calls) == expected, (m, n)
+        else:
+            assert len(calls) > expected, (m, n)
+        del calls[:]
 
 
 def test_mixed_word_weight():
@@ -242,4 +283,23 @@ def test_mixed_operands():
         "scalar-float", "scalar-str", "presentation-float", "oracle-float"])
 def test_only_exact_coefficients(build, value):
     with pytest.raises(TypeError, match="^not an exact .*: %s$" % re.escape(value)):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Scalar({0.5: 1}),
+    lambda: Scalar({0: 1}, {Fraction(3, 2): 1}),
+    lambda: BiPoly({(1.5, 0): 1}),
+    lambda: BiPoly({(0, 2.0): 1}),
+    lambda: GwaElement({1.5: 1, 1.2: H}),
+    lambda: basis_word(2.7),
+    lambda: apply_phi_power(std_spec(), H, 1.5),
+    lambda: apply_sigma_mu(std_algebra(), basis_word(1), 0.5),
+    lambda: build_alpha_derivation(std_spec(), H, AlphaSpec(1.5, {1: 1})),
+    lambda: coupled_alpha_spec(std_spec(), Fraction(1, 2), {1: 1}),
+], ids=["scalar-num", "scalar-den", "bipoly-h", "bipoly-k", "element",
+        "basis-word", "phi", "sigma", "alpha", "coupled-alpha"])
+def test_only_integer_exponents_and_weights(build):
+    # no exponent, weight or power is truncated to an integer
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         build()

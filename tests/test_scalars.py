@@ -244,6 +244,38 @@ def test_stored_form_property():
     check()
 
 
+def test_z_shift_matches_the_product_property():
+    # times_z is the gcd-free form of s * z^e: the same stored maps and the
+    # same hash, for zero, negative leads and z factors in num or in den,
+    # and s itself is left as it was
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exponents = st.integers(0, 6)
+    rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    nums = st.dictionaries(exponents, rationals, max_size=4)
+    dens = st.dictionaries(exponents, rationals, min_size=1,
+                           max_size=4).filter(lambda m: any(m.values()))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(nums, dens, st.integers(-12, 12))
+    @hypothesis.example({}, {0: 1}, 7)                      # zero
+    @hypothesis.example({2: -3, 0: 1}, {0: 1}, 3)           # negative leads
+    @hypothesis.example({1: -1}, {0: -3, 2: -1}, -4)
+    @hypothesis.example({3: -2, 4: 1}, {0: 1, 1: 5}, -2)    # z^3 in num
+    @hypothesis.example({3: -2, 4: 1}, {0: 1, 1: 5}, -5)
+    @hypothesis.example({0: 1, 2: -1}, {2: 3}, 1)           # z^2 in den
+    @hypothesis.example({0: 1, 2: -1}, {2: 3}, 4)
+    def check(num, den, e):
+        s = Scalar(num, den)
+        before = (dict(s.num), dict(s.den))
+        got, want = s.times_z(e), s * Scalar.z_power(e)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert hash(got) == hash(want)
+        assert (s.num, s.den) == before
+
+    check()
+
+
 def test_integer_gcd_and_remainder_sequence_match_sympy():
     # both gcd routines of the scalars on primitive integer maps with a
     # planted common factor, against sympy's gcd over ZZ
