@@ -26,7 +26,6 @@ from .presentation import (DownUpPresentation, conformal_residue,
                            witness_support_matches)
 from .scalars import (ParameterError, Scalar, validate_exponents,
                       validate_param_spec)
-from .suites import SuiteContext, run_suites
 
 
 def _read_config(path):
@@ -68,7 +67,7 @@ def _exponents(options):
     missing = [key for key in ("d", "n1", "n2") if key not in options]
     if missing:
         raise ParameterError("missing parameters: %s" % ", ".join(missing))
-    return options["d"], options["n1"], options["n2"]
+    return int(options["d"]), int(options["n1"]), int(options["n2"])
 
 
 def _spec_from(options):
@@ -214,6 +213,7 @@ def cmd_inner(args, options):
 
 
 def cmd_verify(args, options):
+    from .suites import SuiteContext, run_suites
     samples = int(options.get("samples", 200))
     if samples < 1:
         raise ParameterError("samples must be at least 1, got %d" % samples)

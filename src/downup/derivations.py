@@ -191,7 +191,7 @@ def _alpha_value_polys(spec, aspec):
         index_set = _solve_membership(b1, c)
         terms = {}
         for t, v in coeffs.items():
-            v = _to_scalar(v)
+            t, v = operator.index(t), _to_scalar(v)
             if not v:
                 continue
             if t not in index_set:
@@ -248,6 +248,7 @@ def coupled_alpha_spec(spec, w, h_coeffs):
     ratio = (Scalar.z_power(spec.d * w) - ONE) / (Scalar.z_power(spec.n1 * w) - ONE)
     coeffs_h, coeffs_k = {}, {}
     for i, c in h_coeffs.items():
+        i = operator.index(i)
         if i < 1:
             raise DerivationError(
                 "support violation: i=%d has no coupling partner" % i)

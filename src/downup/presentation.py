@@ -12,7 +12,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .bipoly import BiPoly, apply_phi_power
-from .expressions import parse_element
 from .gwa import GwaAlgebra, basis_word, from_poly, gwa_mul
 from .scalars import ParameterError, Scalar, _to_scalar
 
@@ -60,6 +59,7 @@ def gwa_algebra(pres):
 
 def translate_to_gwa(pres, text):
     """Normal form of a d, u, h expression: d -> x, u -> y, h -> h."""
+    from .expressions import parse_element
     return parse_element(text, gwa_algebra(pres), "du")
 
 

@@ -450,7 +450,7 @@ class ParamSpec(namedtuple("ParamSpec", "d n1 n2")):
 def validate_exponents(d, n1, n2):
     """Check d >= 1, b1 != 0 and mu != 1, all that the index sets need,
     and return the three exponents as integers."""
-    d, n1, n2 = int(d), int(n1), int(n2)
+    d, n1, n2 = map(operator.index, (d, n1, n2))
     if d < 1:
         raise ParameterError("d must be a positive integer")
     if n1 == 0:

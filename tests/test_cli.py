@@ -401,6 +401,15 @@ def test_config_rejects_unknown_settings(tmp_path, capsys, line, message):
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("value", ["x", "1.5"])
+def test_config_exponent_must_be_an_integer(tmp_path, capsys, value):
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text("d = %s\nn1 = 3\nn2 = 2\n" % value)
+    code, out, err = run(capsys, "--config", str(cfg), "indices")
+    assert (code, out) == (2, "")
+    assert err == "error: invalid literal for int() with base 10: %r\n" % value
+
+
 def test_error_reporting(capsys):
     code, out, err = run(capsys, "--d", "1", "conformal")
     assert code == 2

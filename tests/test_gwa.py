@@ -297,8 +297,13 @@ def test_only_exact_coefficients(build, value):
     lambda: apply_sigma_mu(std_algebra(), basis_word(1), 0.5),
     lambda: build_alpha_derivation(std_spec(), H, AlphaSpec(1.5, {1: 1})),
     lambda: coupled_alpha_spec(std_spec(), Fraction(1, 2), {1: 1}),
+    lambda: coupled_alpha_spec(std_spec(), 1, {1.5: 1}),
+    lambda: build_alpha_derivation(std_spec(), H, AlphaSpec(1, {1.5: 1})),
+    lambda: build_alpha_derivation(std_spec(), H,
+                                   AlphaSpec(1, {}, {Fraction(1, 2): 1})),
 ], ids=["scalar-num", "scalar-den", "bipoly-h", "bipoly-k", "element",
-        "basis-word", "phi", "sigma", "alpha", "coupled-alpha"])
+        "basis-word", "phi", "sigma", "alpha", "coupled-alpha",
+        "coupled-alpha-key", "alpha-h-key", "alpha-k-key"])
 def test_only_integer_exponents_and_weights(build):
     # no exponent, weight or power is truncated to an integer
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):

@@ -333,6 +333,15 @@ def test_validate_rejects_degenerate_parameters():
         validate_param_spec(0, 2, 3)
 
 
+@pytest.mark.parametrize("args", [(1.5, 3.9, 2.2), (1, 3, 2.0),
+                                  ("1", 3, 2), (1, Fraction(3), 2)],
+                         ids=["floats", "float-n2", "string-d", "fraction-n1"])
+def test_validate_refuses_non_integer_exponents(args):
+    # exponents are never truncated to integers
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        validate_param_spec(*args)
+
+
 def test_validate_accepts_negative_b1():
     spec = validate_param_spec(1, -2, 3)
     assert spec.b1 == Fraction(-2)
