@@ -90,22 +90,11 @@ def _presentation(options):
 
 
 def _case_note(b1, b2):
+    # for integers, b1 > b2 means b1 >= b2 + 1, and J splits there
     if b1.denominator != 1 or b2.denominator != 1 or b1 < 1 or b2 < 1:
         return None
-    if b1 > b2:
-        part_i = "b1>b2"
-    elif b1 == b2:
-        part_i = "b1=b2"
-    else:
-        part_i = "b1<b2"
-    if b1 > b2 + 1:
-        part_j = "b1>b2+1"
-    elif b1 == b2 + 1:
-        part_j = "b1=b2+1"
-    elif b1 == b2:
-        part_j = "b1=b2"
-    else:
-        part_j = "b1<b2"
+    part_i = "b1%sb2" % "<=>"[(b1 > b2) - (b1 < b2) + 1]
+    part_j = "b1%sb2+1" % "=>"[b1 > b2 + 1] if b1 > b2 else part_i
     return "%s / %s" % (part_i, part_j)
 
 

@@ -14,11 +14,14 @@ The coupling of an alpha-type table makes h divide alpha(h), and the
 derivation is then the inner one u -> b sigma_mu(u) - u b for
 b = alpha(h)/((r^w - 1) h) * v_w, whose monomials meet the I index
 condition, so it kills x (w > 0) or y (w < 0).  A derivation is
-therefore stored as its c-type part c0 plus an inner element b, and
-the twisted Leibniz rule
+therefore stored as its c-type part c0 plus an inner element
+b = sum_w q_w v_w, and the twisted Leibniz rule
     D(a*b) = D(a) sigma_mu(b) + a D(b)
-gives its value on each component; the test suites confirm the answer
-is factorization-independent for every constructed derivation.
+gives its value on each component in closed form,
+    D(p v_n) = p D(v_n) + sum_w (phi^w(p) - p) M_{w,n} v_{w+n},
+M_{w,n} = q_w mu^{-n} W(w, n) for v_w v_n = W(w, n) v_{w+n}; the test
+suites confirm the answer is factorization-independent for every
+constructed derivation.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .bipoly import BiPoly, apply_phi_power, diff_h, exact_divide_by_a
-from .gwa import GwaElement, apply_sigma_mu, basis_word, from_poly, gwa_mul
-from .scalars import ONE, Scalar, _to_scalar
+from .gwa import GwaElement, apply_sigma_mu, basis_word, gwa_mul
+from .scalars import ONE, Scalar, _accumulate, _to_scalar
 
 
 class DerivationError(ValueError):
@@ -160,15 +163,16 @@ class Derivation:
     conformal polynomial the derivation was built over, None when it does
     not depend on it."""
 
-    __slots__ = ("spec", "g", "_weights", "c0", "b", "word_memo")
+    __slots__ = ("spec", "g", "_weights", "c0", "b", "memo")
 
     def __init__(self, spec, g, weights, c0, b):
         self.spec = spec
         self.g = g
         self._weights = sorted(set(weights))
         self.c0, self.b = c0, b
-        # D(v_n) by word weight, each computed on its own from D(1) = 0
-        self.word_memo = {0: GwaElement()}
+        # D(v_n) under n, each computed on its own from D(1) = 0, and the
+        # factor M_{w,n} of apply_derivation under (w, n)
+        self.memo = {0: GwaElement()}
 
     def weights(self):
         return list(self._weights)
@@ -285,33 +289,45 @@ def _c_type_factor(spec, c0, n):
 
 def _word_derivative(algebra, deriv, n):
     """D(v_n) = C_n(c0) v_n + b sigma_mu(v_n) - v_n b, kept per weight."""
-    memo = deriv.word_memo
+    memo = deriv.memo
     if n not in memo:
         memo[n] = GwaElement({n: _c_type_factor(algebra.spec, deriv.c0, n)}) \
             + twisted_commutator(algebra, deriv.b, basis_word(n))
     return memo[n]
 
 
+def _twist_factor(algebra, deriv, w, n):
+    """M_{w,n} = q_w mu^{-n} W(w, n), the one component of
+    (q_w v_w) sigma_mu(v_n), where v_w v_n = W(w, n) v_{w+n}; kept."""
+    memo, key = deriv.memo, (w, n)
+    if key not in memo:
+        q_w = GwaElement._raw({w: deriv.b.terms[w]})
+        memo[key] = gwa_mul(algebra, q_w, apply_sigma_mu(
+            algebra, basis_word(n))).terms[w + n]
+    return memo[key]
+
+
 def apply_derivation(algebra, deriv, u):
-    """Evaluate the derivation on an element, component by component:
-    D(p v_n) = D(p) sigma_mu(v_n) + p D(v_n), where the c-type part
-    kills p and D(p) = sum_w q_w (phi^w(p) - p) v_w for b = sum_w q_w v_w."""
+    """Evaluate the derivation on an element in closed form,
+    D(p v_n) = p D(v_n) + sum_w (phi^w(p) - p) M_{w,n} v_{w+n}, which is
+    D(p) sigma_mu(v_n) + p D(v_n) with the c-type part killing p and
+    D(p) = sum_w q_w (phi^w(p) - p) v_w.  D(v_n) and each M_{w,n} are kept
+    on the derivation; the rest is BiPoly arithmetic, with no gwa_mul."""
     if algebra.spec != deriv.spec:
         raise DerivationError("derivation and algebra parameters differ")
     if deriv.g is not None and deriv.g != algebra.g:
         raise DerivationError(
             "derivation was built over a different conformal polynomial")
-    total = GwaElement()
+    out = {}
     for n, p in u.terms.items():
-        dp = GwaElement({w: q * (apply_phi_power(algebra.spec, p, w) - p)
-                         for w, q in deriv.b.terms.items()})
-        if dp:
-            total = total + gwa_mul(algebra, dp,
-                                    apply_sigma_mu(algebra, basis_word(n)))
-        dword = _word_derivative(algebra, deriv, n)
-        if dword:
-            total = total + gwa_mul(algebra, from_poly(p), dword)
-    return total
+        for w in deriv.b.terms:
+            dp = apply_phi_power(algebra.spec, p, w) - p
+            if dp:
+                _accumulate(out, w + n,
+                            dp * _twist_factor(algebra, deriv, w, n))
+        for m, c in _word_derivative(algebra, deriv, n).terms.items():
+            _accumulate(out, m, p * c)
+    return GwaElement._raw(out)
 
 
 def combine(parts):

@@ -81,6 +81,11 @@ def _tokenize(text):
     return toks
 
 
+def _found(tok):
+    # a token as a message names it; the end token holds no value
+    return "found end of input" if tok[0] == "end" else "found %r" % (tok[1],)
+
+
 class _Parser:
     def __init__(self, text, alphabet):
         self.text = text
@@ -96,7 +101,7 @@ class _Parser:
     def take(self, kind=None):
         tok = self.toks[self.pos]
         if kind is not None and tok[0] != kind:
-            raise ParseError("expected %r, found %r" % (kind, tok[1]), tok[2])
+            raise ParseError("expected %r, %s" % (kind, _found(tok)), tok[2])
         self.pos += 1
         return tok
 
@@ -153,7 +158,7 @@ class _Parser:
             if value == "z":
                 return ("z", exponent)
             return ("gen", value, exponent)
-        raise ParseError("expected a value, found %r" % (value,), pos)
+        raise ParseError("expected a value, " + _found(self.peek()), pos)
 
 
 def parse_expression(text, alphabet):

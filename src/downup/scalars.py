@@ -98,17 +98,26 @@ def _prs_gcd(f, g):
     return a, _zdivmod(f, a)[0], _zdivmod(g, a)[0]
 
 
+def _heu_bits(f, g):
+    # the k of GCDHEU's first xi = 2^k, past 2 min(|f|, |g|) + 2
+    return (2 * min(max(map(abs, f.values())), max(map(abs, g.values())))
+            + 2).bit_length()
+
+
+def _heu_value(p, k, shift=0):
+    # the integer value of p / z^shift at xi = 2^k
+    return sum(c << k * (e - shift) for e, c in p.items())
+
+
 def _heu_gcd(f, g):
     # the same, by GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989):
     # the integer gcd of the values at xi = 2^k, read back as a map from
     # its balanced base-xi digits.  For xi >= 2 min(|f|, |g|) + 2 a
     # candidate that divides both maps is the gcd; after 6 values of xi,
     # fall back to the remainder sequence.
-    norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
-    k = (2 * norm + 2).bit_length()
+    k = _heu_bits(f, g)
     for _ in range(6):
-        h = math.gcd(sum(c << k * e for e, c in f.items()),
-                     sum(c << k * e for e, c in g.items()))
+        h = math.gcd(_heu_value(f, k), _heu_value(g, k))
         half, cand, e = 1 << (k - 1), {}, 0
         while h:
             c = ((h + half) & ((half << 1) - 1)) - half
@@ -130,6 +139,7 @@ def _zgcd(f, g):
     # the gcd in Z[z] of two nonzero integer maps, with a positive lead,
     # and both cofactors: c*z^t*h, for c the gcd of the contents and h that
     # of the primitive z-free parts, which is 1 when either is a monomial
+    # or when GCDHEU's first value finds the pair coprime
     a, b = min(f), min(g)
     t = min(a, b)
     if len(f) > 1 and len(g) > 1:
@@ -137,6 +147,12 @@ def _zgcd(f, g):
         if degree > MAX_GCD_DEGREE:
             raise ValueError("a polynomial gcd of degree %d is past the "
                              "limit of %d" % (degree, MAX_GCD_DEGREE))
+        # GCDHEU's first value, contents kept: every common root lies
+        # within the Cauchy bound 1 + norm < xi/2, so a common factor would
+        # divide both values by more than 1, and a gcd of 1 proves it is z^t
+        k = _heu_bits(f, g)
+        if math.gcd(_heu_value(f, k, a), _heu_value(g, k, b)) == 1:
+            return {t: 1}, _shifted(f, -t), _shifted(g, -t)
         (cf, f0), (cg, g0) = _primitive(f, a), _primitive(g, b)
         h, f0, g0 = _heu_gcd(f0, g0)
         if h != _P_ONE:
@@ -258,8 +274,12 @@ class Scalar:
         if o is None:
             return NotImplemented
         a, b, c, d = self.num, self.den, o.num, o.den
-        if b == _P_ONE and d == _P_ONE:
-            return _new(_padd(a, c), _P_ONE)
+        if b == d:
+            # one denominator: only gcd(a + c, b) can cancel, none when b is 1
+            t = _padd(a, c)
+            if t and b != _P_ONE:
+                _, t, b = _zgcd(t, b)
+            return _new(t, b)
         # Henrici: with g = gcd(b, d), t/(g*b'*d') can only cancel gcd(t, g)
         g, b, d = _zgcd(b, d)
         t = _padd(_pmul(a, d), _pmul(c, b))

@@ -41,6 +41,19 @@ def test_indices_accepts_unit_slope(capsys):
     assert "case: b1<b2 / b1<b2" in out
 
 
+@pytest.mark.parametrize("n1, n2, d, case", [
+    (5, 2, 1, "b1>b2 / b1>b2+1"), (3, 2, 1, "b1>b2 / b1=b2+1"),
+    (2, 2, 1, "b1=b2 / b1=b2"), (2, 5, 1, "b1<b2 / b1<b2"),
+    (3, 2, 2, None), (6, 1, 2, None), (3, -1, 1, None), (-2, 3, 1, None)])
+def test_indices_case_note(capsys, n1, n2, d, case):
+    # the note is given for integer b1, b2 >= 1 only
+    code, out, err = run(capsys, "--d", str(d), "--n1", str(n1),
+                         "--n2", str(n2), "indices")
+    assert code == 0
+    notes = [line[6:] for line in out.splitlines() if line.startswith("case: ")]
+    assert notes == ([case] if case else [])
+
+
 def test_indices_negative_slope(capsys):
     code, out, err = run(capsys, "--d", "1", "--n1", "-2", "--n2", "3", "indices")
     assert code == 0

@@ -492,6 +492,78 @@ def test_leibniz_property_at_random_points():
     check()
 
 
+def test_closed_form_matches_the_twisted_commutator_property():
+    # apply_derivation's closed form against the definition of the stored
+    # derivation: the c-type derivation of c0 plus u -> b sigma_mu(u) - u b,
+    # which twisted_commutator builds from gwa_mul alone; combined c-type
+    # and alpha derivations on elements of several components and terms,
+    # at the three points of the leibniz benchmark workload
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-3, max_value=3,
+                             max_denominator=3).filter(bool)
+    scalars = st.one_of(rationals, st.builds(
+        lambda c, e: Scalar.z_power(e) * c + 1, rationals, st.integers(-2, 2)))
+    algebras = [std_algebra(std_spec(1, 3, 2), (0, 1)),
+                std_algebra(std_spec(2, 3, 5), (0, 1)),
+                std_algebra(std_spec(1, -2, 3), (1, 0, 1))]
+
+    @st.composite
+    def polys(draw, max_terms):
+        keys = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                             min_size=1, max_size=max_terms, unique=True))
+        return BiPoly({key: draw(scalars) for key in keys})
+
+    elements = st.dictionaries(st.integers(-3, 3), polys(3), min_size=1,
+                               max_size=3).map(GwaElement)
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(algebras), polys(2), st.data())
+    def check(A, c0, data):
+        spec = A.spec
+        options = [i for i in index_sets_from_b(spec.b1, spec.b2)[0]
+                   .members_up_to(4) if i >= 1]
+        parts = [(data.draw(scalars), build_c_derivation(spec, CTypeSpec(c0)))]
+        for w in data.draw(st.lists(st.sampled_from([1, -1, 2, -2]),
+                                    min_size=1, max_size=2, unique=True)):
+            aspec = coupled_alpha_spec(spec, w, {
+                data.draw(st.sampled_from(options)): data.draw(scalars)})
+            parts.append((data.draw(scalars),
+                          build_alpha_derivation(spec, A.g, aspec)))
+        D = combine(parts)
+        u = data.draw(elements)
+        assert apply_derivation(A, D, u) == apply_derivation(
+            A, build_c_derivation(spec, CTypeSpec(D.c0)), u) \
+            + twisted_commutator(A, D.b, u)
+
+    check()
+
+
+def test_memo_is_kept_per_word_weight_not_per_monomial():
+    # D(v_n) and each M_{w,n} are kept once: after words at the weights N
+    # the memo holds at most 1 + |N| (|weights(b)| + 1) entries, however
+    # many monomials were applied
+    A = std_algebra()
+    D = combine([
+        (1, build_c_derivation(A.spec, CTypeSpec(H * K + 1))),
+        (2, build_alpha_derivation(A.spec, A.g,
+                                   coupled_alpha_spec(A.spec, 1, {1: 1}))),
+        (3, build_alpha_derivation(A.spec, A.g,
+                                   coupled_alpha_spec(A.spec, -2, {1: 1})))])
+    weights = range(-3, 4)
+    bound = 1 + len(weights) * (len(D.b.terms) + 1)
+    assert len(D.b.terms) == 2
+    sizes = []
+    for degree in (2, 5):
+        for n in weights:
+            for i in range(degree):
+                for j in range(degree):
+                    apply_derivation(A, D, GwaElement(
+                        {n: BiPoly({(i, j): Scalar.z_power(i - j) + 1})}))
+        sizes.append(len(D.memo))
+    assert sizes[0] == sizes[1] <= bound
+
+
 def test_derivation_metadata():
     A = std_algebra()
     D = build_c_derivation(A.spec, CTypeSpec(H))

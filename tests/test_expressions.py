@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,19 @@ def test_syntax_errors_carry_positions():
         parse_scalar("1 & 2")
     with pytest.raises(ParseError):
         parse_scalar("z^-1")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x*(", "expected a value, found end of input at position 3"),
+    ("x^", "expected 'int', found end of input at position 2"),
+    ("(x", "expected ')', found end of input at position 2"),
+    ("", "expected a value, found end of input at position 0"),
+    ("x^y", "expected 'int', found 'y' at position 2"),
+])
+def test_running_out_of_input_is_named(text, message):
+    # the end token holds no value, so the message names the end itself
+    with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        parse_expression(text, "gwa")
 
 
 def test_unknown_alphabet():

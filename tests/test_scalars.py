@@ -182,8 +182,21 @@ def test_arithmetic_matches_sympy_property():
         if b:
             assert normal_form_of(a / b, an * bd, ad * bn)
 
+    # equal denominators take one gcd, of the numerators' sum against the
+    # denominator: a sum that cancels to zero, z/(z^2 - 1) + 1/(z^2 - 1)
+    # = 1/(z - 1), which cancels part of it, and a shared content
+    d = {2: 1, 0: -1}
+    for pair, total in (((Scalar({1: 1}, d), Scalar({1: -1}, d)), ZERO),
+                        ((Scalar({1: 1}, d), Scalar({0: 1}, d)),
+                         Scalar({0: 1}, {1: 1, 0: -1})),
+                        ((Scalar({0: 1}, {1: 2, 0: 2}),) * 2,
+                         Scalar({0: 1}, {1: 1, 0: 1}))):
+        check(pair)
+        s = pair[0] + pair[1]
+        assert (s.num, s.den) == (total.num, total.den)
+
     # (a, c - a) makes a + b cancel every term of a
-    cancelling = st.tuples(small, small).map(lambda p: (p[0], p[1] - p[0]))
+    cancelling =st.tuples(small, small).map(lambda p: (p[0], p[1] - p[0]))
     for pairs, runs in ((st.one_of(st.tuples(small, small), cancelling,
                                    st.tuples(laurent, laurent)), 200),
                         (st.one_of(st.tuples(dense, dense),
@@ -305,6 +318,48 @@ def test_integer_gcd_and_remainder_sequence_match_sympy():
             h, cf, cg = gcd(f, g)
             assert h[max(h)] > 0 and to_ring(h) == want
             assert _pmul(h, cf) == f and _pmul(h, cg) == g
+
+
+@pytest.mark.parametrize("f, g, gcd, first", [
+    # z + 1 and z - 2 are 9 and 6 at xi = 8, so the first value is 3
+    ({1: 1, 0: 1}, {1: 1, 0: -2}, {0: 1}, 3),
+    # a shared integer content only: 18 and 14 at xi = 8
+    ({1: 2, 0: 2}, {1: 2, 0: -2}, {0: 2}, 2),
+    # a shared power of z only, over the same z-free parts as the first
+    ({3: 1, 2: 1}, {4: 1, 3: -2}, {2: 1}, 3),
+    # z-free parts 1 + z and 2 + z are 9 and 10 at xi = 8: coprime at once
+    ({3: 1, 2: 1}, {4: 1, 3: 2}, {2: 1}, 1),
+], ids=["coprime", "content", "z-power", "first-value-one"])
+def test_dense_gcd_from_its_first_value(f, g, gcd, first):
+    # the first GCDHEU value (z-order removed, contents kept) is the integer
+    # gcd of f and g at xi = 2^k; only a value of 1 ends the gcd there
+    from downup.scalars import _heu_bits, _heu_value, _pmul, _zgcd
+    k = _heu_bits(f, g)
+    assert math.gcd(_heu_value(f, k, min(f)), _heu_value(g, k, min(g))) \
+        == first
+    h, cf, cg = _zgcd(f, g)
+    assert h == gcd and _pmul(h, cf) == f and _pmul(h, cg) == g
+
+
+def test_coprime_dense_pair_takes_no_heuristic_gcd(monkeypatch):
+    # a coprime dense pair ends at its first value: no GCDHEU candidate,
+    # no copies, and the maps come back shared when neither has a z factor
+    import downup.scalars as scalars
+    calls = []
+    heu_gcd = scalars._heu_gcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return heu_gcd(f, g)
+
+    monkeypatch.setattr(scalars, "_heu_gcd", counting)
+    f, g = {2: 3, 1: -1, 0: 5}, {3: 1, 0: -7}
+    h, cf, cg = scalars._zgcd(f, g)
+    assert (h, calls) == ({0: 1}, []) and cf is f and cg is g
+    assert scalars._zgcd({4: 3, 3: -1, 2: 5}, {5: 1, 2: -7}) == \
+        ({2: 1}, f, g) and calls == []
+    scalars._zgcd({1: 1, 0: 1}, {1: 1, 0: -2})
+    assert len(calls) == 1
 
 
 def test_monomial_equality_is_exponent_equality():
