@@ -93,7 +93,8 @@ def oracle_normalize(algebra, terms, strategy="leftmost"):
 
 def free_expand(node):
     """Multiply out a syntax tree in the free algebra: no relations are
-    applied, products only concatenate letters."""
+    applied, products only concatenate letters.  A power or a product
+    word longer than MAX_LENGTH is refused as it forms."""
     op = node[0]
     if op == "int":
         c = Scalar.from_rational(node[1])
@@ -144,9 +145,13 @@ def _free_add(a, b):
 
 
 def _free_mul(a, b):
+    # refuse a product word past the length bound as it forms, before the
+    # words of a long product multiply out
     out = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
+            if len(wa) + len(wb) > MAX_LENGTH:
+                raise ValueError("length bound exceeded")
             _add_into(out, wa + wb, ca * cb)
     return out
 

@@ -9,7 +9,7 @@ from .derivations import (CTypeSpec, build_alpha_derivation,
                           build_c_derivation, combine, coupled_alpha_spec,
                           index_sets_from_b)
 from .gwa import GwaElement
-from .scalars import ONE, ZERO, Scalar, validate_param_spec
+from .scalars import ONE, ZERO, Scalar
 
 
 def random_rational(rng, bound=5, nonzero=False):
@@ -49,16 +49,6 @@ def random_element(rng, max_weight=3, max_components=2, **poly_kw):
         w = rng.randint(-max_weight, max_weight)
         comps[w] = random_bipoly(rng, **poly_kw)
     return GwaElement(comps)
-
-
-def random_param_spec(rng, d_max=3, n_max=5):
-    while True:
-        try:
-            return validate_param_spec(rng.randint(1, d_max),
-                                       rng.choice([-1, 1]) * rng.randint(1, n_max),
-                                       rng.choice([-1, 1]) * rng.randint(1, n_max))
-        except ValueError:
-            continue
 
 
 def random_f_coefficients(rng, max_support=6, max_terms=3):

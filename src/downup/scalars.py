@@ -104,20 +104,26 @@ def _heu_bits(f, g):
             + 2).bit_length()
 
 
-def _heu_value(p, k, shift=0):
+def _heu_value(p, k, shift):
     # the integer value of p / z^shift at xi = 2^k
     return sum(c << k * (e - shift) for e, c in p.items())
 
 
-def _heu_gcd(f, g):
-    # the same, by GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989):
-    # the integer gcd of the values at xi = 2^k, read back as a map from
-    # its balanced base-xi digits.  For xi >= 2 min(|f|, |g|) + 2 a
-    # candidate that divides both maps is the gcd; after 6 values of xi,
-    # fall back to the remainder sequence.
+def _heu_gcd(f, g, a, b):
+    # the gcd h of f/z^a and g/z^b, primitive with a positive lead, and the
+    # cofactors f/h and g/h, by GCDHEU (Char, Geddes & Gonnet, J. Symb.
+    # Comput. 7, 1989) on the maps as they are, contents kept: the integer
+    # gcd of the values at xi = 2^k, read back as a map from its balanced
+    # base-xi digits.  For xi >= 2 min(|f|, |g|) + 2 every common root lies
+    # within the Cauchy bound 1 + norm < xi/2, so a candidate whose
+    # primitive part divides both maps is the gcd, and a constant one (a
+    # value gcd of 1 among them) proves the pair coprime.  A candidate has
+    # a constant term, as xi/2 is past the lowest coefficient of the map of
+    # smaller norm, so it divides f just when it divides f/z^a.  After 6
+    # values of xi, fall back to the remainder sequence on primitive parts.
     k = _heu_bits(f, g)
     for _ in range(6):
-        h = math.gcd(_heu_value(f, k), _heu_value(g, k))
+        h = math.gcd(_heu_value(f, k, a), _heu_value(g, k, b))
         half, cand, e = 1 << (k - 1), {}, 0
         while h:
             c = ((h + half) & ((half << 1) - 1)) - half
@@ -132,36 +138,28 @@ def _heu_gcd(f, g):
         if cg and not cg[1]:
             return cand, cf[0], cg[0]
         k += k // 4 + 2
-    return _prs_gcd(f, g)
+    h = _prs_gcd(_primitive(f, a)[1], _primitive(g, b)[1])[0]
+    return h, _zdivmod(f, h)[0], _zdivmod(g, h)[0]
 
 
 def _zgcd(f, g):
     # the gcd in Z[z] of two nonzero integer maps, with a positive lead,
-    # and both cofactors: c*z^t*h, for c the gcd of the contents and h that
-    # of the primitive z-free parts, which is 1 when either is a monomial
-    # or when GCDHEU's first value finds the pair coprime
+    # and both cofactors: c*z^t*h, for h the primitive gcd of the z-free
+    # parts (1 when either is a monomial) and c the gcd of the contents,
+    # read off the cofactors, whose contents are those of f and g
     a, b = min(f), min(g)
-    t = min(a, b)
+    t, h = min(a, b), _P_ONE
     if len(f) > 1 and len(g) > 1:
         degree = max(max(f) - a, max(g) - b)
         if degree > MAX_GCD_DEGREE:
             raise ValueError("a polynomial gcd of degree %d is past the "
                              "limit of %d" % (degree, MAX_GCD_DEGREE))
-        # GCDHEU's first value, contents kept: every common root lies
-        # within the Cauchy bound 1 + norm < xi/2, so a common factor would
-        # divide both values by more than 1, and a gcd of 1 proves it is z^t
-        k = _heu_bits(f, g)
-        if math.gcd(_heu_value(f, k, a), _heu_value(g, k, b)) == 1:
-            return {t: 1}, _shifted(f, -t), _shifted(g, -t)
-        (cf, f0), (cg, g0) = _primitive(f, a), _primitive(g, b)
-        h, f0, g0 = _heu_gcd(f0, g0)
-        if h != _P_ONE:
-            c = math.gcd(cf, cg)
-            return ({e + t: v * c for e, v in h.items()},
-                    {e + a - t: v * (cf // c) for e, v in f0.items()},
-                    {e + b - t: v * (cg // c) for e, v in g0.items()})
+        h, f, g = _heu_gcd(f, g, a, b)
     c = math.gcd(*f.values(), *g.values())
-    return ({t: c}, {e - t: v // c for e, v in f.items()},
+    if c == 1:
+        return _shifted(h, t), _shifted(f, -t), _shifted(g, -t)
+    return ({e + t: v * c for e, v in h.items()},
+            {e - t: v // c for e, v in f.items()},
             {e - t: v // c for e, v in g.items()})
 
 

@@ -13,6 +13,17 @@ def std_spec(d=1, n1=3, n2=2):
     return validate_param_spec(d, n1, n2)
 
 
+def random_param_spec(rng, d_max=3, n_max=5):
+    """A seeded parameter point that passes the standing assumptions."""
+    while True:
+        try:
+            return validate_param_spec(rng.randint(1, d_max),
+                                       rng.choice([-1, 1]) * rng.randint(1, n_max),
+                                       rng.choice([-1, 1]) * rng.randint(1, n_max))
+        except ValueError:
+            continue
+
+
 def std_algebra(spec=None, f_coeffs=(0, 1)):
     spec = spec or std_spec()
     pres = DownUpPresentation.from_coefficients(spec, list(f_coeffs))

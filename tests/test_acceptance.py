@@ -16,11 +16,10 @@ from downup import (BiPoly, CTypeSpec, DownUpPresentation, GwaAlgebra,
                     from_poly, gwa_mul, index_sets_from_b, oracle_normalize,
                     solve_conformal, solve_inner, translate_to_gwa,
                     twisted_commutator, witness_support_matches)
-from downup.sampling import (random_element, random_f_coefficients,
-                             random_param_spec)
+from downup.sampling import random_element, random_f_coefficients
 
 from support import (enumerate_indices, inner_system_solvable, leibniz_holds,
-                     std_spec)
+                     random_param_spec, std_spec)
 
 H = BiPoly.var_h()
 K = BiPoly.var_k()

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from downup import gwa_mul, parse_element
 from downup.cli import main
+
+from support import std_algebra
 
 
 def run(capsys, *argv):
@@ -170,6 +173,29 @@ def test_cancelled_long_word_steps_the_oracle_aside(capsys):
     assert code == 0
     assert doc["result"] == "0"
     assert "oracle_agrees" not in doc["witnesses"]
+
+
+def test_cancelled_long_product_steps_the_oracle_aside(capsys):
+    # a product word past the length bound is refused as it forms, even
+    # when the sum of the products cancels it
+    code, doc = run_json(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "mul", "x^4*x^5 - x^5*x^4", "1")
+    assert code == 0
+    assert doc["result"] == "0"
+    assert "oracle_agrees" not in doc["witnesses"]
+
+
+def test_mul_of_many_factors_stops_the_oracle_at_its_bound(capsys):
+    # the free expansion of 40 factors h + k stops at the first product
+    # word past the length bound instead of building 2^40 words
+    lhs = "*".join(["(h+k)"] * 40)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "mul", lhs, "1")
+    assert time.perf_counter() - start < 2
+    A = std_algebra()
+    want = gwa_mul(A, parse_element(lhs, A), parse_element("1", A))
+    assert (code, out, err) == (0, "%s\n" % want, "")
 
 
 def test_mul_long_sum(capsys):

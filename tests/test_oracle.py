@@ -57,6 +57,10 @@ def test_length_bound():
     assert oracle_normalize(A, [(1, "x" * 8)]) == basis_word(8)
     with pytest.raises(ValueError, match="length bound exceeded"):
         oracle_normalize(A, [(1, "x" * 9)])
+    # a product word past the bound is refused as it forms, even when a
+    # later term would cancel it
+    with pytest.raises(ValueError, match="length bound exceeded"):
+        free_expand(parse_expression("x^4*x^5 - x^5*x^4", "gwa"))
     with pytest.raises(ValueError, match="unknown letter"):
         oracle_normalize(A, [(1, "xq")])
     with pytest.raises(ValueError, match="unknown strategy"):

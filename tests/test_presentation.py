@@ -7,9 +7,9 @@ from downup import (BiPoly, DownUpPresentation, GwaElement, ParamSpec,
                     from_poly, gwa_algebra, gwa_mul, relation_residues,
                     solve_conformal, translate_to_gwa,
                     witness_support_matches)
-from downup.sampling import random_f_coefficients, random_param_spec
+from downup.sampling import random_f_coefficients
 
-from support import std_spec
+from support import random_param_spec, std_spec
 
 H = BiPoly.var_h()
 

@@ -332,7 +332,8 @@ def test_integer_gcd_and_remainder_sequence_match_sympy():
 ], ids=["coprime", "content", "z-power", "first-value-one"])
 def test_dense_gcd_from_its_first_value(f, g, gcd, first):
     # the first GCDHEU value (z-order removed, contents kept) is the integer
-    # gcd of f and g at xi = 2^k; only a value of 1 ends the gcd there
+    # gcd of f and g at xi = 2^k; each of these reads back as a constant,
+    # which ends the gcd there
     from downup.scalars import _heu_bits, _heu_value, _pmul, _zgcd
     k = _heu_bits(f, g)
     assert math.gcd(_heu_value(f, k, min(f)), _heu_value(g, k, min(g))) \
@@ -341,25 +342,90 @@ def test_dense_gcd_from_its_first_value(f, g, gcd, first):
     assert h == gcd and _pmul(h, cf) == f and _pmul(h, cg) == g
 
 
-def test_coprime_dense_pair_takes_no_heuristic_gcd(monkeypatch):
-    # a coprime dense pair ends at its first value: no GCDHEU candidate,
-    # no copies, and the maps come back shared when neither has a z factor
+def test_non_primitive_gcd_matches_sympy():
+    # _zgcd keeps both contents through GCDHEU and takes their gcd once,
+    # from the cofactors: planted contents, shared or not, and planted
+    # powers of z, against sympy's gcd over ZZ
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rings import ring
+
+    from downup.scalars import _pmul, _zgcd
+    R, _ = ring("z", ZZ)
+    rng = random.Random(17)
+
+    def to_ring(m):
+        return R.from_dict({(e,): c for e, c in m.items()})
+
+    def rand_map(degree, bound):
+        m = {rng.randint(0, degree): rng.randint(-bound, bound)
+             for _ in range(rng.randint(1, 5))}
+        return {e: c for e, c in m.items() if c} or {0: 1}
+
+    for trial in range(300):
+        degree, bound = (10, 30) if trial % 3 else (30, 10 ** 5)
+        common = rand_map(degree // 2, bound) if trial % 4 else {0: 1}
+        f, g = (_pmul(_pmul(rand_map(degree, bound), common),
+                      {rng.randint(0, 3): rng.choice(contents)})
+                for contents in ((2, 6, -4), (3, 6, -9)))
+        h, cf, cg = _zgcd(f, g)
+        assert to_ring(h) == to_ring(f).gcd(to_ring(g)) and h[max(h)] > 0
+        assert _pmul(h, cf) == f and _pmul(h, cg) == g
+
+
+def test_remainder_sequence_after_six_missed_values(monkeypatch):
+    # when no GCDHEU candidate divides, the remainder sequence on the
+    # primitive parts gives the gcd, and the contents and the z-order
+    # still come back: 6z^2(z+1)(z-2) and -4z(z+1)(z+3)
     import downup.scalars as scalars
-    calls = []
-    heu_gcd = scalars._heu_gcd
+    f, g = {4: 6, 3: -6, 2: -12}, {3: -4, 2: -16, 1: -12}
+    want = ({2: 2, 1: 2}, {2: 3, 1: -6}, {1: -2, 0: -6})
+    assert scalars._zgcd(f, g) == want
+    misses, zdivmod = [], scalars._zdivmod
 
-    def counting(f, g):
-        calls.append((f, g))
-        return heu_gcd(f, g)
+    def missing(a, b):
+        if len(misses) < 6:
+            misses.append(b)
+            return None
+        return zdivmod(a, b)
 
-    monkeypatch.setattr(scalars, "_heu_gcd", counting)
+    monkeypatch.setattr(scalars, "_zdivmod", missing)
+    assert scalars._zgcd(f, g) == want and len(misses) == 6
+
+
+def test_coprime_dense_pair_ends_at_its_first_value(monkeypatch):
+    # a coprime dense pair ends at GCDHEU's first value: each xi is
+    # evaluated once per map, no candidate is divided, and the maps come
+    # back shared when neither has a z factor
+    import downup.scalars as scalars
+    values, divisions = [], []
+    heu_value, zdivmod = scalars._heu_value, scalars._zdivmod
+
+    def counting_value(p, k, shift):
+        values.append(k)
+        return heu_value(p, k, shift)
+
+    def counting_divmod(a, b):
+        divisions.append(b)
+        return zdivmod(a, b)
+
+    monkeypatch.setattr(scalars, "_heu_value", counting_value)
+    monkeypatch.setattr(scalars, "_zdivmod", counting_divmod)
     f, g = {2: 3, 1: -1, 0: 5}, {3: 1, 0: -7}
     h, cf, cg = scalars._zgcd(f, g)
-    assert (h, calls) == ({0: 1}, []) and cf is f and cg is g
+    assert h == {0: 1} and cf is f and cg is g
     assert scalars._zgcd({4: 3, 3: -1, 2: 5}, {5: 1, 2: -7}) == \
-        ({2: 1}, f, g) and calls == []
-    scalars._zgcd({1: 1, 0: 1}, {1: 1, 0: -2})
-    assert len(calls) == 1
+        ({2: 1}, f, g)
+    assert divisions == [] and len(values) == 4 and len(set(values)) == 1
+    # z + 1 and z - 2 give 9 and 6 at xi = 8: a constant candidate
+    assert scalars._zgcd({1: 1, 0: 1}, {1: 1, 0: -2})[0] == {0: 1}
+    assert divisions == [] and len(values) == 6
+    # -4z - 4 and z^2 + 2z - 2 give 6 at xi = 8, read as the candidate
+    # z - 2, which fails to divide; xi = 32 finds them coprime.  Each xi
+    # tried costs exactly two values
+    del values[:]
+    assert scalars._zgcd({1: -4, 0: -4}, {2: 1, 1: 2, 0: -2})[0] == {0: 1}
+    assert divisions == [{1: 1, 0: -2}] and values == [3, 3, 5, 5]
 
 
 def test_monomial_equality_is_exponent_equality():
