@@ -20,6 +20,11 @@ import operator
 from .bipoly import BiPoly, _Sparse, apply_phi_power
 from .scalars import _accumulate, _signed_sum, _times_text
 
+# the most adjacent x,y pairs one opposite-sign word product may cancel: its
+# coefficient is a chain of that many powers of phi, and the printed answer
+# grows about as its cube (mul "x^100" "y^100" prints 4.7 MB)
+MAX_WORD_PAIRS = 100
+
 
 class GwaElement(_Sparse):
     """A finite sum of p_w * v_w, keyed by the weight w."""
@@ -116,6 +121,9 @@ def _word_coefficient(A, m, n):
     key = (m, min(abs(m), abs(n)))
     coeff = A.words.get(key)
     if coeff is None:
+        if key[1] > MAX_WORD_PAIRS:
+            raise ValueError("a word product cancelling %d x,y pairs is past "
+                             "the limit of %d" % (key[1], MAX_WORD_PAIRS))
         # x^m y^..  ->  phi^m(a) x^(m-1) y^..   and
         # y^-m x^..  ->  phi^(m+1)(a) y^(-m-1) x^..,  then the next pair
         coeff = BiPoly.one()

@@ -165,6 +165,20 @@ def test_mul_huge_power(capsys, power):
     assert (code, out, err) == (0, power + "\n", "")
 
 
+@pytest.mark.parametrize("command", [("mul", "x^100000", "y^100000"),
+                                     ("translate", "d^100000*u^100000")])
+def test_long_opposite_sign_word_product_is_refused(capsys, command):
+    # x^100000 y^100000 would cancel 100000 x,y pairs, a chain of as many
+    # powers of phi: refused at once by the word-pair cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", *command)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == ("error: a word product cancelling 100000 x,y pairs is "
+                   "past the limit of 100\n")
+
+
 def test_cancelled_long_word_steps_the_oracle_aside(capsys):
     # the length bound applies to each power as written, even when the
     # over-long word cancels

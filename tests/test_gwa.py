@@ -117,21 +117,23 @@ def test_repeated_word_pair_applies_no_phi(monkeypatch):
 def test_z_shifts_take_no_gcd(monkeypatch):
     # phi, sigma_mu and the free product of same-sign words multiply by
     # powers of z only, which shift exponents; an opposite-sign pair still
-    # multiplies by its word coefficient
+    # multiplies by its word coefficient.  Gcd work is counted on both
+    # paths: _zgcd, and _cut against a denominator kept as a product of
+    # cyclotomic polynomials (here z^3 - 1 and the z^3 - z^2 of g)
     A = std_algebra(validate_param_spec(2, 3, 5))
-    p = BiPoly({(1, 2): Scalar({2: 3, 0: -1}, {1: 2, 0: 1})})
+    p = BiPoly({(1, 2): Scalar({2: 3, 0: -1}, {1: 2, 0: 1}),
+                (0, 1): Scalar({1: 5}, {3: 1, 0: -1})})
     q = BiPoly({(2, 1): Scalar({1: -4}, {0: 1, 2: 7})})
     u = GwaElement({-2: p, 0: q, 3: p + q + Fraction(-2, 3)})
     for m, n in [(2, -3), (-1, 2)]:         # warm the word memo
         gwa_mul(A, basis_word(m), basis_word(n))
     calls = []
-    zgcd = downup.scalars._zgcd
+    for name in ("_zgcd", "_cut"):
+        def counting(*args, gcd=getattr(downup.scalars, name)):
+            calls.append(args)
+            return gcd(*args)
 
-    def counting(f, g):
-        calls.append((f, g))
-        return zgcd(f, g)
-
-    monkeypatch.setattr(downup.scalars, "_zgcd", counting)
+        monkeypatch.setattr(downup.scalars, name, counting)
     for w in range(-3, 4):
         apply_phi_power(A.spec, p + q, w)
         apply_sigma_mu(A, u, w)
@@ -146,6 +148,23 @@ def test_z_shifts_take_no_gcd(monkeypatch):
         else:
             assert len(calls) > expected, (m, n)
         del calls[:]
+
+
+def test_word_pairs_past_the_cap_are_refused(monkeypatch):
+    # an opposite-sign product cancels t = min(|m|, |n|) x,y pairs; the cap
+    # is checked where the coefficient is built, so t at the cap answers
+    # and t + 1 is refused, while same-sign products never reach it
+    monkeypatch.setattr(downup.gwa, "MAX_WORD_PAIRS", 3)
+    A = GwaAlgebra(std_spec(), H)
+    assert gwa_mul(A, basis_word(3), basis_word(-5)).weights() == [-2]
+    assert gwa_mul(A, basis_word(-4), basis_word(3)).weights() == [-1]
+    for m, n in [(4, -4), (-6, 4), (9, -4)]:
+        with pytest.raises(ValueError, match="cancelling 4 x,y pairs is past "
+                                             "the limit of 3"):
+            gwa_mul(A, basis_word(m), basis_word(n))
+    monkeypatch.setattr(downup.gwa, "MAX_WORD_PAIRS", -1)
+    for m, n in [(50, 7), (-50, -7), (0, 9), (-9, 0)]:
+        assert gwa_mul(A, basis_word(m), basis_word(n)) == basis_word(m + n)
 
 
 def test_mixed_word_weight():

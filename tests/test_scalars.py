@@ -1,4 +1,6 @@
+import copy
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from downup import (ONE, ZERO, ParameterError, ParamSpec, Scalar,
                     parse_scalar, validate_param_spec)
 from downup.sampling import random_scalar
+from downup.scalars import _pmul
 
 Z = Scalar.z_power(1)
 
@@ -255,6 +258,79 @@ def test_stored_form_property():
             stored_form(b.inverse())
 
     check()
+
+
+def _without_factorization(s):
+    # the same stored maps with the denominator's factorization dropped, so
+    # that its gcds take the GCDHEU path
+    plain = copy.copy(s)
+    plain.fac = None
+    return plain
+
+
+def test_carried_factorization_property():
+    # a denominator born from binomials z^(n + t) -/+ z^t keeps c*z^t*prod
+    # Phi_m^e, which must expand to den, and every sum, difference and
+    # product must store the same maps as with both factorizations dropped
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from downup.scalars import _expand
+
+    def quotient(num, above, below):
+        # num times the binomials above over the binomials below, so that
+        # numerators and denominators share repeated cyclotomic factors
+        out = Scalar(num)
+        for binomials, op in ((above, operator.mul),
+                              (below, operator.truediv)):
+            for n, t, c, sign in binomials:
+                out = op(out, Scalar({n + t: c, t: sign * c}))
+        return out
+
+    binomial = st.tuples(st.integers(1, 6), st.integers(0, 2),
+                         st.sampled_from([1, 2, -3]), st.sampled_from([1, -1]))
+    binomials = st.lists(binomial, max_size=3)
+    nums = st.dictionaries(st.integers(0, 8), st.integers(-4, 4).filter(bool),
+                           min_size=1, max_size=4)
+    scalars = st.builds(quotient, nums, binomials, binomials)
+
+    def carried(s):
+        assert s.fac is None or _expand(s.fac) == s.den
+        return s
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.lists(scalars, min_size=2, max_size=4))
+    @hypothesis.example([Scalar({2: 1, 1: -2, 0: 1}),          # (z - 1)^2
+                         ONE / Scalar({1: 1, 0: -1}) / Scalar({2: 1, 0: -1})])
+    def check(pool):
+        a, b = pool[0], pool[1]
+        for c in pool[2:]:
+            a, b = carried(a * c), carried(b + c)
+        for a, b in ((a, b), (b, a), (a, a)):
+            for op in (operator.add, operator.sub, operator.mul):
+                got = carried(op(a, b))
+                want = op(_without_factorization(a), _without_factorization(b))
+                assert (got.num, got.den) == (want.num, want.den)
+            if a:
+                carried(a.inverse())
+                carried(b / a)
+
+    check()
+
+
+def test_denominator_built_two_ways_is_one_scalar():
+    # a binomial quotient, its factorization found by trial division, and
+    # the same denominator typed in expanded: equal scalars, equal hashes
+    for num, dens in (({0: 1}, [{1: 1, 0: -1}]),
+                      ({3: 2, 0: 5}, [{4: 1, 0: -1}, {6: 1, 0: 1}]),
+                      ({1: -1}, [{7: 2, 2: -2}, {3: 1, 0: -1}] * 2),
+                      ({2: 1, 0: 1}, [{12: 1, 0: -1}, {5: 1, 0: -1}])):
+        built = Scalar(num)
+        typed = {0: 1}
+        for d in dens:
+            built, typed = built / Scalar(d), _pmul(typed, d)
+        for other in (Scalar(num, typed), parse_scalar(str(built))):
+            assert other == built and hash(other) == hash(built)
+        assert built.fac is not None
 
 
 def test_z_shift_matches_the_product_property():
