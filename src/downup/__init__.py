@@ -6,7 +6,7 @@ import importlib
 # submodule -> the public names it defines; __getattr__ imports on first read
 _EXPORTS = {
     "scalars": "ONE ZERO ParameterError ParamSpec Scalar validate_param_spec",
-    "bipoly": "BiPoly apply_phi_power",
+    "bipoly": "BiPoly apply_phi_power diff_h exact_divide_by_a",
     "gwa": "GwaAlgebra GwaElement apply_sigma_mu basis_word from_poly gwa_mul",
     "expressions": """ParseError parse_bipoly parse_element parse_expression
                       parse_scalar""",
@@ -16,12 +16,12 @@ _EXPORTS = {
     "derivations": """AlphaSpec CTypeSpec Derivation DerivationError IndexSet
                       NonInnerWitness apply_derivation build_alpha_derivation
                       build_c_derivation check_weight0_alpha_condition combine
-                      coupled_alpha_spec diff_h exact_divide_by_a
-                      index_sets_from_b
+                      coupled_alpha_spec index_sets_from_b
                       parse_derivation_spec solve_inner twisted_commutator""",
     "oracle": "free_expand oracle_normalize oracle_normalize_text",
     "suites": "SuiteContext SuiteResult run_suites",
     "sampling": "",
+    "cyclotomic": "",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items()
           for name in names.split()}

@@ -7,6 +7,7 @@ _Sparse, the one finite-sum type, which GwaElement shares.
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 
 from .scalars import (ONE, ZERO, _accumulate, _as_scalar, _padd, _signed_sum,
                       _times_text, _to_scalar)
@@ -112,6 +113,9 @@ class BiPoly(_Sparse):
     def var_k(cls, e=1):
         return cls({(0, e): ONE})
 
+    def degree_k(self):
+        return max((j for _, j in self.terms), default=-1)
+
     def is_h_only(self):
         return all(j == 0 for _, j in self.terms)
 
@@ -181,3 +185,36 @@ def apply_phi_power(spec, p, w):
     return BiPoly._raw({
         (i, j): c.times_z(w * (spec.n1 * i + spec.d * j))
         for (i, j), c in p.terms.items()})
+
+
+def diff_h(p):
+    """Formal derivative with respect to h."""
+    out = {}
+    for (i, j), c in p.terms.items():
+        if i:
+            out[(i - 1, j)] = c * Fraction(i)
+    return BiPoly._raw(out)
+
+
+def exact_divide_by_a(p, g):
+    """Divide p by k + g(h) exactly; None when the division leaves a remainder.
+
+    g must involve h only, so the divisor is monic of degree 1 in k and
+    the quotient is computed by peeling the top k-degree.
+    """
+    if not g.is_h_only():
+        raise ValueError("divisor polynomial must depend on h only")
+    quo = BiPoly()
+    rem = p
+    while True:
+        m = rem.degree_k()
+        if m < 1:
+            break
+        lead = BiPoly._raw({(i, m - 1): c for (i, j), c in rem.terms.items()
+                            if j == m})
+        quo = quo + lead
+        # lead*k cancels the whole top layer; lead*g refills one layer down
+        rem = rem - lead * (BiPoly.var_k() + g)
+    if rem:
+        return None
+    return quo

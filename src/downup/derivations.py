@@ -31,7 +31,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .bipoly import BiPoly, apply_phi_power
+from .bipoly import BiPoly, apply_phi_power, diff_h, exact_divide_by_a
 from .gwa import GwaElement, apply_sigma_mu, basis_word, gwa_mul
 from .scalars import ONE, Scalar, _accumulate, _to_scalar
 
@@ -379,39 +379,6 @@ def twisted_commutator(algebra, b, u):
     """u -> b sigma_mu(u) - u b, the inner derivation attached to b."""
     return gwa_mul(algebra, b, apply_sigma_mu(algebra, u)) \
         - gwa_mul(algebra, u, b)
-
-
-def diff_h(p):
-    """Formal derivative with respect to h."""
-    out = {}
-    for (i, j), c in p.terms.items():
-        if i:
-            out[(i - 1, j)] = c * Fraction(i)
-    return BiPoly._raw(out)
-
-
-def exact_divide_by_a(p, g):
-    """Divide p by k + g(h) exactly; None when the division leaves a remainder.
-
-    g must involve h only, so the divisor is monic of degree 1 in k and
-    the quotient is computed by peeling the top k-degree.
-    """
-    if not g.is_h_only():
-        raise ValueError("divisor polynomial must depend on h only")
-    quo = BiPoly()
-    rem = p
-    while True:
-        m = max((j for _, j in rem.terms), default=-1)
-        if m < 1:
-            break
-        lead = BiPoly._raw({(i, m - 1): c for (i, j), c in rem.terms.items()
-                            if j == m})
-        quo = quo + lead
-        # lead*k cancels the whole top layer; lead*g refills one layer down
-        rem = rem - lead * (BiPoly.var_k() + g)
-    if rem:
-        return None
-    return quo
 
 
 def check_weight0_alpha_condition(algebra, alpha0_h, alpha0_k):

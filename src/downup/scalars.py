@@ -13,7 +13,6 @@ sums reduce it by gcds of cross pairs only (Henrici, JACM 3, 1956).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import namedtuple
@@ -22,10 +21,6 @@ from fractions import Fraction
 # the degree past which a dense pair is refused before the gcd, which holds
 # each map as one integer of k*degree bits (compare MAX_INDEX_SET)
 MAX_GCD_DEGREE = 100_000
-
-# the degree past which a new denominator is not split into cyclotomic
-# factors, which bounds the orders m that trial division tries
-MAX_SPLIT_DEGREE = 64
 
 
 class ParameterError(ValueError):
@@ -147,12 +142,12 @@ def _heu_gcd(f, g, a, b):
     return h, _zdivmod(f, h)[0], _zdivmod(g, h)[0]
 
 
-def _check_degree(f, g):
-    # refuse a pair of maps with two or more terms each past MAX_GCD_DEGREE
-    degree = max(max(f) - min(f), max(g) - min(g))
-    if degree > MAX_GCD_DEGREE:
+def _check_degree(*spans):
+    # refuse a gcd of two maps with two or more terms each when either
+    # spans past MAX_GCD_DEGREE
+    if max(spans) > MAX_GCD_DEGREE:
         raise ValueError("a polynomial gcd of degree %d is past the "
-                         "limit of %d" % (degree, MAX_GCD_DEGREE))
+                         "limit of %d" % (max(spans), MAX_GCD_DEGREE))
 
 
 def _zgcd(f, g):
@@ -163,7 +158,7 @@ def _zgcd(f, g):
     a, b = min(f), min(g)
     t, h = min(a, b), _P_ONE
     if len(f) > 1 and len(g) > 1:
-        _check_degree(f, g)
+        _check_degree(max(f) - a, max(g) - b)
         h, f, g = _heu_gcd(f, g, a, b)
     c = math.gcd(*f.values(), *g.values())
     if c == 1:
@@ -171,121 +166,6 @@ def _zgcd(f, g):
     return ({e + t: v * c for e, v in h.items()},
             {e - t: v // c for e, v in f.items()},
             {e - t: v // c for e, v in g.items()})
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic denominators: as r, s and mu are powers of z, the denominators
-# the library builds are c*z^t*prod Phi_m^e.  A Scalar keeps this as
-# fac = (c, t, ms), ms the (m, e) pairs by m, or None.  A gcd against it
-# takes one Phi_m | f test per factor (Bradford & Davenport, ISSAC 1988),
-# two meet by a min of exponents, and a product's map comes from a memo
-
-_PHI = {1: {1: 1, 0: -1}}
-
-
-def _phi(m):
-    # Phi_m from Phi_n, n = m/q for q the least prime factor of m:
-    # Phi_n(z^q), over Phi_n(z) when q does not divide n
-    if m not in _PHI:
-        q = next(q for q in range(2, m + 1) if m % q == 0)
-        p = {e * q: c for e, c in _phi(m // q).items()}
-        _PHI[m] = _zdivmod(p, _phi(m // q))[0] if m // q % q else p
-    return _PHI[m]
-
-
-def _phi_divides(f, m):
-    # f(zeta) = 0 at a primitive m-th root of unity: f(1) = 0 for m = 1,
-    # else f with its exponents folded mod m, reduced by the monic Phi_m,
-    # leaves no remainder
-    if m == 1:
-        return not sum(f.values())
-    r, p = [0] * m, _phi(m)
-    for e, c in f.items():
-        r[e % m] += c
-    n = max(p)
-    for i in range(m - 1, n - 1, -1):
-        for e, c in p.items() if r[i] else ():
-            r[i - n + e] -= r[i] * c if e < n else 0
-    return not any(r[:n])
-
-
-@functools.lru_cache(maxsize=4096)
-def _cyclotomic(ms):
-    # the map of prod Phi_m^e over the (m, e) pairs of ms
-    return _pmul(_cyclotomic(ms[:-1]), _power(*ms[-1])) if ms else _P_ONE
-
-
-@functools.lru_cache(maxsize=4096)
-def _power(m, e):
-    # Phi_m^e from two powers of half the exponent, so that the recursion
-    # is only log e deep
-    if e < 2:
-        return _phi(m)
-    return _pmul(_power(m, e // 2), _power(m, e - e // 2))
-
-
-@functools.lru_cache(maxsize=4096)
-def _vec(op, x, y):
-    # op (add, sub or min) on two exponent vectors of (m, e) pairs
-    a, b = dict(x), dict(y)
-    return tuple((m, e) for m in sorted({*a, *b})
-                 if (e := op(a.get(m, 0), b.get(m, 0))) > 0)
-
-
-def _expand(fac):
-    c, t, ms = fac
-    p = _cyclotomic(ms)
-    return {e + t: v * c for e, v in p.items()} if c != 1 or t else p
-
-
-def _fmul(x, y):
-    return x[0] * y[0], x[1] + y[1], _vec(operator.add, x[2], y[2])
-
-
-def _known(b, fb, d, fd):
-    # the factorizations of denominators b and d when both are known or
-    # monomials c*z^t, else None
-    x = fb or len(b) == 1 and (*b.values(), *b, ())
-    y = fd or len(d) == 1 and (*d.values(), *d, ())
-    return x and y and (x, y)
-
-
-def _cut(f, g, fac):
-    # f over its gcd h with a denominator g of factorization fac, and the
-    # factorization of g/h: the content gcd, the lower z-order, then one
-    # Phi_m | f test per factor, dividing f only on a hit
-    c, t, ms = fac
-    k, s = math.gcd(c, *f.values()), min(min(f), t)
-    if k > 1 or s:
-        f, fac = {e - s: v // k for e, v in f.items()}, (c // k, t - s, ms)
-    if len(f) < 2 or not ms:
-        return f, fac
-    _check_degree(f, g)
-    cut = []
-    for m, e in ms:
-        n = 0
-        while n < e and len(f) > 1 and _phi_divides(f, m):
-            f, n = _zdivmod(f, _phi(m))[0], n + 1
-        cut += [(m, n)] * (n > 0)
-    return f, cut and (*fac[:2], _vec(operator.sub, ms, tuple(cut))) or fac
-
-
-def _split(p):
-    # p's factorization, c its lead, or None: trial division over the orders
-    # m <= 6n, all those with phi(m) <= n for n < 85,000, once c divides p
-    # and p is palindromic up to sign, as every Phi_m but Phi_1 is
-    t, c, n = min(p), p[max(p)], max(p) - min(p)
-    if len(p) < 2 or n > MAX_SPLIT_DEGREE or any(
-            v % c or c * p.get(2 * t + n - e, 0) != p[t] * v
-            for e, v in p.items()):
-        return None
-    q, ms, m = {e - t: v // c for e, v in p.items()}, {}, 1
-    while len(q) > 1 and m <= 6 * n:
-        if _phi_divides(q, m):
-            q, ms[m] = _zdivmod(q, _phi(m))[0], ms.get(m, 0) + 1
-        else:
-            m += 1
-    return (c, t, tuple(ms.items())) if q == _P_ONE else None
 
 
 def _checked(poly):
@@ -339,8 +219,8 @@ class Scalar:
     dictionaries and witness exact identities.  Results share maps, so no
     map held by a Scalar is ever mutated, and num and den are never
     assigned after construction: == and hash read them as they are.
-    fac is den's factorization c*z^t*prod Phi_m^e when den has two or
-    more terms and is such a product (else None); only gcds read it.
+    fac caches den's factorization for downup.cyclotomic: True until it is
+    looked for, and None when den has one term; == and hash never read it.
     """
 
     __slots__ = ("num", "den", "fac")
@@ -353,7 +233,7 @@ class Scalar:
         num, den = ({e: c.numerator * (m // c.denominator)
                      for e, c in p.items()} for p in (num, den))
         s = _new(*_zgcd(num, den)[1:]) if num else ZERO
-        self.num, self.den, self.fac = s.num, s.den, _split(s.den)
+        self.num, self.den, self.fac = s.num, s.den, len(s.den) > 1 or None
 
     @classmethod
     def from_rational(cls, q):
@@ -389,8 +269,8 @@ class Scalar:
         # the lower of the orders of num*z^e and den, taken from both
         t = min(min(n) + e, min(d))
         s = Scalar.__new__(Scalar)
-        s.num, s.den = _shifted(n, e - t), _shifted(d, -t)
-        s.fac = self.fac and (self.fac[0], self.fac[1] - t, self.fac[2])
+        s.num, s.den, f = _shifted(n, e - t), _shifted(d, -t), self.fac
+        s.fac = (f[0], f[1] - t, f[2]) if type(f) is tuple else f
         return s
 
     # -- ring/field structure ------------------------------------------------
@@ -399,39 +279,27 @@ class Scalar:
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.num, self.den, o.num, o.den
+        # the cyclotomic layer takes a known factorization, or a gcd of two
+        # dense maps where a denominator may factor; so in __mul__ and
+        # __truediv__
         fb, fd = self.fac, o.fac
+        if (fb or fd) and (self.den == o.den or len(self.den) > 1 < len(o.den)
+                           or type(fb) is tuple or type(fd) is tuple):
+            return _cyclotomic().add(self, o)
+        a, b, c, d = self.num, self.den, o.num, o.den
         if b == d:
             # one denominator: only gcd(a + c, b) can cancel, none when b is 1
-            t, fb = _padd(a, c), fb or fd
-            if t and fb:
-                t, fb = _cut(t, b, fb)
-                b = _expand(fb)
-            elif t and b != _P_ONE:
+            t = _padd(a, c)
+            if t and b != _P_ONE:
                 _, t, b = _zgcd(t, b)
-            return _new(t, b, fb)
-        # Henrici: with g = gcd(b, d), t/(g*b'*d') can only cancel gcd(t, g);
-        # for factorizations g is their min and b', d' the differences
-        xy = (fb or fd) and _known(b, fb, d, fd)
-        if not xy:
-            g, b, d = _zgcd(b, d)
-            t = _padd(_pmul(a, d), _pmul(c, b))
-            if not t:
-                return ZERO
-            _, t, g = _zgcd(t, g)
-            return _new(t, _pmul(_pmul(g, b), d))
-        if len(b) > 1 and len(d) > 1:
-            _check_degree(b, d)
-        x, y = xy
-        g = math.gcd(x[0], y[0]), min(x[1], y[1]), _vec(min, x[2], y[2])
-        x, y = ((v[0] // g[0], v[1] - g[1], _vec(operator.sub, v[2], g[2]))
-                for v in xy)
-        t = _padd(_pmul(a, _expand(y)), _pmul(c, _expand(x)))
+            return _new(t, b, len(b) > 1 or None)
+        # Henrici: with g = gcd(b, d), t/(g*b'*d') can only cancel gcd(t, g)
+        g, b, d = _zgcd(b, d)
+        t = _padd(_pmul(a, d), _pmul(c, b))
         if not t:
             return ZERO
-        t, g = _cut(t, _expand(g), g)
-        fac = _fmul(_fmul(g, x), y)
-        return _new(t, _expand(fac), fac)
+        _, t, g = _zgcd(t, g)
+        return _new(t, d := _pmul(_pmul(g, b), d), len(d) > 1 or None)
 
     __radd__ = __add__
 
@@ -454,7 +322,12 @@ class Scalar:
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
-        return _times(self.num, self.den, o.num, o.den, self.fac, o.fac)
+        fb, fd = self.fac, o.fac
+        if (fb or fd) and (len(self.num) > 1 < len(o.den)
+                           or len(o.num) > 1 < len(self.den)
+                           or type(fb) is tuple or type(fd) is tuple):
+            return _cyclotomic().times(self, o.num, o.den, o)
+        return _times(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -464,8 +337,11 @@ class Scalar:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("zero divisor")
-        return _times(self.num, self.den, o.den, o.num, self.fac,
-                      _split(o.num))
+        fb = self.fac
+        if len(self.num) > 1 < len(o.num) or fb and (
+                len(o.den) > 1 or type(fb) is tuple):
+            return _cyclotomic().times(self, o.den, o.num)
+        return _times(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
         o = _as_scalar(other)
@@ -485,7 +361,7 @@ class Scalar:
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("zero divisor")
-        return _new(self.den, self.num, _split(self.num))
+        return _new(self.den, self.num, len(self.num) > 1 or None)
 
     def __bool__(self):
         return bool(self.num)
@@ -517,16 +393,15 @@ class Scalar:
 
 
 def _new(n, d, fac=None):
-    # the scalar n/d from maps coprime in Z[z], with d's factorization or
-    # None: both signs flip when d's leading coefficient is negative, zero
-    # is stored as {}/1, and only a dense d keeps its factorization
+    # the scalar n/d from maps coprime in Z[z], fac as Scalar keeps it: both
+    # signs flip when d's leading coefficient is negative, and zero is
+    # stored as {}/1
     s = Scalar.__new__(Scalar)
     if not n:
         d, fac = _P_ONE, None
     elif d[max(d)] < 0:
         n, d = ({e: -c for e, c in p.items()} for p in (n, d))
-        fac = fac and (-fac[0], fac[1], fac[2])
-    s.num, s.den, s.fac = n, d, fac if fac and fac[2] else None
+    s.num, s.den, s.fac = n, d, fac
     return s
 
 
@@ -535,19 +410,26 @@ def _shifted(p, k):
     return {e + k: c for e, c in p.items()} if k else p
 
 
-def _times(a, b, c, d, fb, fd):
-    # (a/b)*(c/d) from two quotients in lowest terms, with the factorizations
-    # of b and d or None: by Henrici only gcd(a, d) and gcd(c, b) can cancel
+def _times(a, b, c, d):
+    # (a/b)*(c/d) from two quotients in lowest terms: by Henrici only
+    # gcd(a, d) and gcd(c, b) can cancel
     if not a or not c:
         return ZERO
-    xy = (fb or fd) and _known(b, fb, d, fd)
-    if not xy:
-        _, a, d = _zgcd(a, d)
-        _, c, b = _zgcd(c, b)
-        return _new(_pmul(a, c), _pmul(b, d))
-    (a, y), (c, x) = _cut(a, d, xy[1]), _cut(c, b, xy[0])
-    fac = _fmul(x, y)
-    return _new(_pmul(a, c), _expand(fac), fac)
+    _, a, d = _zgcd(a, d)
+    _, c, b = _zgcd(c, b)
+    return _new(_pmul(a, c), d := _pmul(b, d), len(d) > 1 or None)
+
+
+_LAYER = None
+
+
+def _cyclotomic():
+    # downup.cyclotomic, imported on the first sum or product it serves, so
+    # that a set-up that meets no dense gcd never compiles it
+    global _LAYER
+    if _LAYER is None:
+        from . import cyclotomic as _LAYER
+    return _LAYER
 
 
 ZERO = _new({}, _P_ONE)

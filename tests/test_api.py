@@ -61,6 +61,13 @@ def test_building_an_algebra_loads_only_its_layers():
     assert loaded_by(code) == {"scalars", "bipoly", "gwa", "presentation"}
 
 
+def test_a_dense_gcd_loads_the_cyclotomic_layer():
+    # set-up above meets no dense gcd; the first one imports the layer
+    code = ("from downup import Scalar\n"
+            "Scalar({2: 1, 0: -1}) * (Scalar({1: 1}) / Scalar({3: 1, 0: -1}))")
+    assert loaded_by(code) == {"scalars", "cyclotomic"}
+
+
 @pytest.mark.parametrize("command, loads_suites", [
     (["indices"], False), (["verify", "field"], True),
 ], ids=["indices", "verify"])

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import downup.cyclotomic
 import downup.gwa
 import downup.scalars
 from downup import (AlphaSpec, BiPoly, DownUpPresentation, GwaAlgebra,
@@ -118,8 +119,9 @@ def test_z_shifts_take_no_gcd(monkeypatch):
     # phi, sigma_mu and the free product of same-sign words multiply by
     # powers of z only, which shift exponents; an opposite-sign pair still
     # multiplies by its word coefficient.  Gcd work is counted on both
-    # paths: _zgcd, and _cut against a denominator kept as a product of
-    # cyclotomic polynomials (here z^3 - 1 and the z^3 - z^2 of g)
+    # paths: scalars._zgcd, and cyclotomic._cut against a denominator kept
+    # as a product of cyclotomic polynomials (here z^3 - 1 and the z^3 - z^2
+    # of g)
     A = std_algebra(validate_param_spec(2, 3, 5))
     p = BiPoly({(1, 2): Scalar({2: 3, 0: -1}, {1: 2, 0: 1}),
                 (0, 1): Scalar({1: 5}, {3: 1, 0: -1})})
@@ -128,12 +130,13 @@ def test_z_shifts_take_no_gcd(monkeypatch):
     for m, n in [(2, -3), (-1, 2)]:         # warm the word memo
         gwa_mul(A, basis_word(m), basis_word(n))
     calls = []
-    for name in ("_zgcd", "_cut"):
-        def counting(*args, gcd=getattr(downup.scalars, name)):
+    for module, name in ((downup.scalars, "_zgcd"),
+                         (downup.cyclotomic, "_cut")):
+        def counting(*args, gcd=getattr(module, name)):
             calls.append(args)
             return gcd(*args)
 
-        monkeypatch.setattr(downup.scalars, name, counting)
+        monkeypatch.setattr(module, name, counting)
     for w in range(-3, 4):
         apply_phi_power(A.spec, p + q, w)
         apply_sigma_mu(A, u, w)

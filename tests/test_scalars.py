@@ -2,6 +2,7 @@ import copy
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,18 @@ def test_constructor_refuses_inexact_coefficients(bad):
                      ({1: 1, 0: bad}, {2: 1}), ({0: 1}, {1: bad, 0: 3})):
         with pytest.raises(TypeError, match="not an exact coefficient"):
             Scalar(num, den)
+
+
+def test_repeated_division_by_a_non_cyclotomic_palindrome_is_cheap():
+    # z^64 + 3*z^32 + 1 is palindromic but no product of cyclotomic
+    # polynomials: its power sums pass 64 at the 32nd, so the split gives
+    # up there, and a divisor met again is looked up, not split again
+    d = Scalar({64: 1, 32: 3, 0: 1})
+    s = Scalar({3: 1, 0: -1}, {2: 1, 0: -1})
+    start = time.perf_counter()
+    for _ in range(200):
+        assert (s / d + d.inverse() * s) * d == s * 2
+    assert time.perf_counter() - start < 1
 
 
 def test_dense_gcd_past_the_degree_cap_is_refused(monkeypatch):
@@ -269,12 +282,13 @@ def _without_factorization(s):
 
 
 def test_carried_factorization_property():
-    # a denominator born from binomials z^(n + t) -/+ z^t keeps c*z^t*prod
-    # Phi_m^e, which must expand to den, and every sum, difference and
-    # product must store the same maps as with both factorizations dropped
+    # a denominator built from binomials z^(n + t) -/+ z^t splits into
+    # c*z^t*prod Phi_m^e, kept or found on first use, which must expand to
+    # den, and every sum, difference and product must store the same maps
+    # as with both factorizations dropped (the GCDHEU path)
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from downup.scalars import _expand
+    from downup.cyclotomic import _expand, _settle
 
     def quotient(num, above, below):
         # num times the binomials above over the binomials below, so that
@@ -293,8 +307,11 @@ def test_carried_factorization_property():
                            min_size=1, max_size=4)
     scalars = st.builds(quotient, nums, binomials, binomials)
 
-    def carried(s):
-        assert s.fac is None or _expand(s.fac) == s.den
+    def carried(s, splits=True):
+        # the factorization kept or found on first use expands to den; a
+        # denominator built from binomials alone always splits
+        fac = _settle(s)
+        assert _expand(fac) == s.den if fac else not splits
         return s
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
@@ -311,15 +328,16 @@ def test_carried_factorization_property():
                 want = op(_without_factorization(a), _without_factorization(b))
                 assert (got.num, got.den) == (want.num, want.den)
             if a:
-                carried(a.inverse())
-                carried(b / a)
+                carried(a.inverse(), splits=False)
+                carried(b / a, splits=False)
 
     check()
 
 
 def test_denominator_built_two_ways_is_one_scalar():
-    # a binomial quotient, its factorization found by trial division, and
-    # the same denominator typed in expanded: equal scalars, equal hashes
+    # a binomial quotient and the same denominator typed in expanded:
+    # equal scalars, equal hashes and, once split, one factorization
+    from downup.cyclotomic import _settle
     for num, dens in (({0: 1}, [{1: 1, 0: -1}]),
                       ({3: 2, 0: 5}, [{4: 1, 0: -1}, {6: 1, 0: 1}]),
                       ({1: -1}, [{7: 2, 2: -2}, {3: 1, 0: -1}] * 2),
@@ -328,9 +346,10 @@ def test_denominator_built_two_ways_is_one_scalar():
         typed = {0: 1}
         for d in dens:
             built, typed = built / Scalar(d), _pmul(typed, d)
+        fac = _settle(built)
         for other in (Scalar(num, typed), parse_scalar(str(built))):
             assert other == built and hash(other) == hash(built)
-        assert built.fac is not None
+            assert _settle(other) == fac and fac[2]
 
 
 def test_z_shift_matches_the_product_property():
