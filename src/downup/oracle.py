@@ -4,7 +4,9 @@ Knows nothing about the closed-form product: it rewrites one adjacent
 pair at a time until no rule applies, so it serves as ground truth for
 the structured multiplication.  Rules: x, y pass h and k by single
 powers of r, s (inverse powers for y), and the pairs xy, yx collapse to
-the defining polynomials.
+the defining polynomials.  Each word carries the power of z that its
+passes have collected as an int, and a normal word multiplies its
+coefficient by that power once, with the generic product.
 """
 
 from __future__ import annotations
@@ -40,19 +42,18 @@ def _find_redex(letters, strategy):
     return None
 
 
-def _rewrite(algebra, coeff, letters, t):
+def _rewrite(algebra, coeff, exp, letters, t):
     spec = algebra.spec
     a, b = letters[t], letters[t + 1]
     head, tail = letters[:t], letters[t + 2:]
     if b in ("h", "k"):
-        exp = spec.n1 if b == "h" else spec.d
-        if a == "y":
-            exp = -exp
-        return [(coeff * Scalar.z_power(exp), head + (b, a) + tail)]
+        step = spec.n1 if b == "h" else spec.d
+        return [(coeff, exp - step if a == "y" else exp + step,
+                 head + (b, a) + tail)]
     poly = algebra.phi_a if a == "x" else algebra.a
     out = []
     for (i, j), c in poly.terms.items():
-        out.append((coeff * c, head + ("h",) * i + ("k",) * j + tail))
+        out.append((coeff * c, exp, head + ("h",) * i + ("k",) * j + tail))
     return out
 
 
@@ -72,14 +73,14 @@ def oracle_normalize(algebra, terms, strategy="leftmost"):
         if len(letters) > MAX_LENGTH:
             raise ValueError("length bound exceeded")
         if coeff:
-            stack.append((coeff, letters))
+            stack.append((coeff, 0, letters))
 
     acc = {}
     while stack:
-        coeff, letters = stack.pop()
+        coeff, exp, letters = stack.pop()
         t = _find_redex(letters, strategy)
         if t is not None:
-            stack.extend(_rewrite(algebra, coeff, letters, t))
+            stack.extend(_rewrite(algebra, coeff, exp, letters, t))
             continue
         # normal words are h,k powers followed by a run of x or of y
         i = sum(1 for ch in letters if ch == "h")
@@ -87,7 +88,8 @@ def oracle_normalize(algebra, terms, strategy="leftmost"):
         m = sum(1 for ch in letters if ch == "x")
         n = sum(1 for ch in letters if ch == "y")
         assert m == 0 or n == 0
-        _add_into(acc.setdefault(m - n, {}), (i, j), coeff)
+        _add_into(acc.setdefault(m - n, {}), (i, j),
+                  coeff * Scalar.z_power(exp))
     return GwaElement({w: BiPoly(bucket) for w, bucket in acc.items()})
 
 

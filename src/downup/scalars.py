@@ -154,7 +154,10 @@ def _zgcd(f, g):
     # the gcd in Z[z] of two nonzero integer maps, with a positive lead,
     # and both cofactors: c*z^t*h, for h the primitive gcd of the z-free
     # parts (1 when either is a monomial) and c the gcd of the contents,
-    # read off the cofactors, whose contents are those of f and g
+    # read off the cofactors, whose contents are those of f and g; a gcd
+    # with 1 is 1, and both maps come back as they are
+    if f == _P_ONE or g == _P_ONE:
+        return _P_ONE, f, g
     a, b = min(f), min(g)
     t, h = min(a, b), _P_ONE
     if len(f) > 1 and len(g) > 1:

@@ -86,6 +86,55 @@ def test_oracle_matches_structured_product():
                 (w1, w2)
 
 
+@pytest.mark.parametrize("point", [(1, 3, 2), (2, 3, 5), (1, -2, 3)],
+                         ids=["standard", "fractional", "negative"])
+def test_oracle_equals_product_of_letters(point):
+    # every word of length <= 5, by both strategies, against gwa_mul of its
+    # letters taken left to right, with f = 1 + X^2; at n1 < 0 the carried
+    # power of z goes negative as x passes h
+    A = std_algebra(std_spec(*point), (1, 0, 1))
+    letters = {"x": basis_word(1), "y": basis_word(-1),
+               "h": from_poly(H), "k": from_poly(K)}
+    products = {(): basis_word(0)}
+    for word in words_up_to(5):
+        if word:
+            products[word] = gwa_mul(A, products[word[:-1]],
+                                     letters[word[-1]])
+        for strategy in ("leftmost", "rightmost"):
+            got = oracle_normalize(A, [(1, word)], strategy=strategy)
+            assert got == products[word], (word, strategy)
+
+
+def test_oracle_does_not_use_times_z(monkeypatch):
+    # the oracle stays independent of the closed form's shift by z^e
+    A = std_algebra(std_spec(1, -2, 3), (1, 0, 1))
+    words = ["xhhy", "ykhx", "xyhk", "hkyxk"]
+    want = [oracle_normalize(A, [(1, w)]) for w in words]
+
+    def refuse(self, e):
+        raise AssertionError("times_z called")
+
+    monkeypatch.setattr(Scalar, "times_z", refuse)
+    assert [oracle_normalize(A, [(1, w)]) for w in words] == want
+
+
+@pytest.mark.parametrize("word", ["xhhhh", "ykh"])
+def test_one_power_of_z_per_normal_word(monkeypatch, word):
+    # passes add to an int exponent; the normal word multiplies by its
+    # power of z once
+    A = std_algebra()
+    want = oracle_normalize(A, [(1, word)])
+    calls, z_power = [], Scalar.z_power
+
+    def counted(e):
+        calls.append(e)
+        return z_power(e)
+
+    monkeypatch.setattr(Scalar, "z_power", staticmethod(counted))
+    assert oracle_normalize(A, [(1, word)]) == want
+    assert len(calls) == 1
+
+
 def test_free_expand_applies_no_relations():
     tree = parse_expression("x*y - y*x", "gwa")
     words = free_expand(tree)

@@ -4,6 +4,7 @@ import operator
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -435,6 +436,25 @@ def test_dense_gcd_from_its_first_value(f, g, gcd, first):
         == first
     h, cf, cg = _zgcd(f, g)
     assert h == gcd and _pmul(h, cf) == f and _pmul(h, cg) == g
+
+
+@pytest.mark.parametrize("f", [
+    {0: 1}, {0: 6, 2: -4}, {3: 6, 5: -4}, {2: 1}, {4: 9},
+], ids=["one", "constant-term", "no-constant-term", "z-power", "monomial"])
+def test_gcd_with_one_hands_the_maps_back(f, monkeypatch):
+    # a gcd with 1 is 1 with no content scan or copy: both cofactors are
+    # the very maps passed in, in either order, and no integer gcd is taken
+    import downup.scalars as scalars
+
+    def refuse(*args):
+        raise AssertionError("content scanned")
+
+    monkeypatch.setattr(scalars, "math", SimpleNamespace(gcd=refuse))
+    one = {0: 1}
+    h, cf, cg = scalars._zgcd(f, one)
+    assert h == {0: 1} and cf is f and cg is one
+    h, cf, cg = scalars._zgcd(one, f)
+    assert h == {0: 1} and cf is one and cg is f
 
 
 def test_non_primitive_gcd_matches_sympy():
