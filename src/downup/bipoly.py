@@ -136,9 +136,17 @@ class BiPoly(_Sparse):
     def __mul__(self, other):
         if not isinstance(other, BiPoly):
             return self._scale(other)
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            # a one-term side shifts the other's keys and scales its terms
+            ((i, j), c), = a.items()
+            return BiPoly._raw({(i + x, j + y): c * v
+                                for (x, y), v in b.items()})
         out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
                 _accumulate(out, (i1 + i2, j1 + j2), c1 * c2)
         return BiPoly._raw(out)
 

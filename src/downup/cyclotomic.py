@@ -19,7 +19,7 @@ import math
 import operator
 
 from . import scalars
-from .scalars import ZERO, _P_ONE, _check_degree, _new, _padd, _pmul, _zdivmod
+from .scalars import ZERO, _P_ONE, _check_degree, _new, _padd, _pmul
 
 # the degree past which a denominator is not split, so that the orders m
 # of the Phi_m the gcds build and test stay at most 6 times it: the largest
@@ -36,8 +36,28 @@ def _phi(m):
     if m not in _PHI:
         q = next(q for q in range(2, m + 1) if m % q == 0)
         p = {e * q: c for e, c in _phi(m // q).items()}
-        _PHI[m] = _zdivmod(p, _phi(m // q))[0] if m // q % q else p
+        _PHI[m] = _over_phi(p, m // q) if m // q % q else p
     return _PHI[m]
+
+
+def _over_phi(f, m):
+    # f / Phi_m for a multiple f of it, by long division by the monic Phi_m,
+    # skipping the zeros the subtractions leave in f; over Phi_1 = z - 1
+    # the quotient's terms are running sums of f's coefficients from the top
+    if m == 1:
+        quo, c = {}, 0
+        for e in range(max(f), 0, -1):
+            if c := c + f.get(e, 0):
+                quo[e - 1] = c
+        return quo
+    p, quo, f = _phi(m), {}, dict(f)
+    n = max(p)
+    for e in range(max(f), n - 1, -1):
+        if c := f.get(e):
+            quo[e - n] = c
+            for i, v in p.items():
+                f[e - n + i] = f.get(e - n + i, 0) - c * v
+    return quo
 
 
 def _phi_divides(f, m):
@@ -145,7 +165,7 @@ def _cut(f, fac, g):
     # denominator whose span was checked already
     c, t, ms = fac
     low = min(f)
-    k, s = math.gcd(c, *f.values()), min(low, t)
+    k, s = math.gcd(c, *f.values()) if c != 1 else 1, min(low, t)
     if len(f) > 1 and ms:
         _check_degree(max(f) - low, max(g) - t if g else 0)
     if k > 1 or s:
@@ -155,7 +175,7 @@ def _cut(f, fac, g):
     out = []
     for m, e in ms:
         while e and len(f) > 1 and _phi_divides(f, m):
-            f, e = _zdivmod(f, _phi(m))[0], e - 1
+            f, e = _over_phi(f, m), e - 1
         out += [(m, e)] * (e > 0)
     return f, (*fac[:2], tuple(out))
 
@@ -177,7 +197,8 @@ def times(s, c, d, o=None):
     x, y = _settle(s), _settle(o) if o else _known(d)
     if not (x and y):
         return scalars._times(a, b, c, d)
-    (a, y), (c, x) = _cut(a, y, d), _cut(c, x, b)
+    (a, y), (c, x) = (_cut(a, y, d) if d != _P_ONE else (a, y),
+                      _cut(c, x, b) if b != _P_ONE else (c, x))
     return _made(_pmul(a, c), _fmul(x, y))
 
 

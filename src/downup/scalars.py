@@ -50,6 +50,13 @@ def _padd(a, b):
 
 
 def _pmul(a, b):
+    # a one-term map is a shift and a scale of the other; {0: 1} hands the
+    # other back shared
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        (i, c), = a.items()
+        return b if a == _P_ONE else {e + i: v * c for e, v in b.items()}
     out = {}
     for i, ca in a.items():
         for j, cb in b.items():
@@ -325,6 +332,10 @@ class Scalar:
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
+        if len(self.num) == len(self.den) == 1:
+            self, o = o, self
+        if len(o.num) == len(o.den) == 1 and self.num:
+            return _by_term(self, o.num, o.den)
         fb, fd = self.fac, o.fac
         if (fb or fd) and (len(self.num) > 1 < len(o.den)
                            or len(o.num) > 1 < len(self.den)
@@ -421,6 +432,25 @@ def _times(a, b, c, d):
     _, a, d = _zgcd(a, d)
     _, c, b = _zgcd(c, b)
     return _new(_pmul(a, c), d := _pmul(b, d), len(d) > 1 or None)
+
+
+def _by_term(s, n, d):
+    # s*(n/d) for a nonzero s, n = p*z^i and d = q*z^j: by Henrici only
+    # gcd(p, content of s.den), gcd(q, content of s.num) and z^t, t the
+    # lower of i and ord_z s.den or of j and ord_z s.num, can cancel, so
+    # den keeps a positive lead and s.fac carries over rescaled
+    a, b, fac = s.num, s.den, s.fac
+    ((i, p),), ((j, q),) = n.items(), d.items()
+    g = math.gcd(q, *a.values()) if q != 1 else 1
+    h = math.gcd(p, *b.values()) if b != _P_ONE else 1
+    t = min(i, min(b)) if i else min(j, min(a)) if j else 0
+    p, q, r = p // h, q // g, Scalar.__new__(Scalar)
+    if type(fac) is tuple:
+        fac = (fac[0] // h * q, fac[1] + j - t, fac[2])
+    r.num, r.den, r.fac = {e + i - t: v // g * p for e, v in a.items()}, (
+        b if b == d == _P_ONE else
+        {e + j - t: v // h * q for e, v in b.items()}), fac
+    return r
 
 
 _LAYER = None

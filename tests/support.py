@@ -9,6 +9,18 @@ from downup.suites import enumerate_indices, leibniz_holds
 ONE = Scalar.from_rational(1)
 
 
+def double_loop_product(a, b, add):
+    """The product of two sparse maps by the double loop over their terms,
+    keys combined by add and zero sums dropped: the reference for the
+    kernels' one-term shortcuts."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            k = add(i, j)
+            out[k] = out[k] + x * y if k in out else x * y
+    return {k: v for k, v in out.items() if v}
+
+
 def std_spec(d=1, n1=3, n2=2):
     return validate_param_spec(d, n1, n2)
 

@@ -5,6 +5,7 @@ import pytest
 from downup import (BiPoly, Scalar, apply_phi_power, diff_h,
                     exact_divide_by_a, validate_param_spec)
 from downup.sampling import random_bipoly
+from support import double_loop_product
 
 H = BiPoly.var_h()
 K = BiPoly.var_k()
@@ -14,6 +15,24 @@ ONE = Scalar.from_rational(1)
 def test_monomial_product():
     assert H * K == BiPoly.monomial(1, 1, ONE)
     assert (H + K) * (H - K) == H * H - K * K
+
+
+def test_one_term_side_matches_the_double_loop():
+    # a product with a one-term side shifts the keys and scales the
+    # coefficients: the same terms as the double loop, for zero, 1 and
+    # one-term factors on either side, and neither operand changes
+    rng = random.Random(20)
+    one_term = [BiPoly(), BiPoly.one(), H, K ** 3,
+                BiPoly.monomial(2, 1, Scalar({3: -6}, {2: 4})),
+                BiPoly.monomial(0, 0, Scalar({0: 1}, {2: 1, 0: -1}))]
+    pool = one_term + [random_bipoly(rng) for _ in range(12)]
+    for p in one_term:
+        for q in pool:
+            before = (dict(p.terms), dict(q.terms))
+            want = double_loop_product(p.terms, q.terms,
+                                       lambda u, v: (u[0] + v[0], u[1] + v[1]))
+            assert (p * q).terms == want and (q * p).terms == want
+            assert (p.terms, q.terms) == before
 
 
 def test_additive_identity():

@@ -12,6 +12,7 @@ from downup import (ONE, ZERO, ParameterError, ParamSpec, Scalar,
                     parse_scalar, validate_param_spec)
 from downup.sampling import random_scalar
 from downup.scalars import _pmul
+from support import double_loop_product
 
 Z = Scalar.z_power(1)
 
@@ -129,6 +130,9 @@ def test_arithmetic_leaves_operands_unchanged():
     rng = random.Random(24)
     pool = [random_scalar(rng, with_denominator=True) for _ in range(12)]
     pool += [ZERO, ONE, Z, Scalar.z_power(-2), Scalar({0: 2}, {1: 1, 0: 1})]
+    # one-term operands, whose products hand maps back shared
+    pool += [Scalar({3: -6}, {2: 4}), Scalar({0: 6}, {5: 9}), Scalar({4: -2}),
+             Scalar({0: 1}, {1: 1, 0: -1}) * Scalar({0: 1}, {2: 1, 0: 1})]
     ops = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
            lambda a, b: -a, lambda a, b: a ** 3, lambda a, b: 2 - a,
            lambda a, b: a / b if b else a, lambda a, b: 1 / a if a else a,
@@ -142,6 +146,40 @@ def test_arithmetic_leaves_operands_unchanged():
     assert [(s.num, s.den) for s in pool] == snapshot
 
 
+def test_one_term_map_product_matches_the_double_loop():
+    # _pmul takes a one-term map as a shift and a scale of the other, and
+    # hands the other back for {0: 1}: the same map as the double loop, for
+    # zero, 1 and one-term maps on either side, and neither map is written
+    rng = random.Random(20)
+    maps = [{}, {0: 1}, {0: -1}, {3: 1}, {7: -12}, {2: 1, 0: -1}]
+    maps += [{rng.randint(0, 9): rng.choice([-5, -1, 1, 2, 6])
+              for _ in range(rng.randint(1, 4))} for _ in range(30)]
+    for a in maps:
+        for b in maps:
+            before = (dict(a), dict(b))
+            assert _pmul(a, b) == double_loop_product(a, b, operator.add)
+            assert (a, b) == before
+
+
+def _binomial_quotients(st):
+    # a numerator times binomials z^(n + t) -/+ z^t over others, so that
+    # numerators and denominators share repeated cyclotomic factors
+    def quotient(num, above, below):
+        out = Scalar(num)
+        for binomials, op in ((above, operator.mul),
+                              (below, operator.truediv)):
+            for n, t, c, sign in binomials:
+                out = op(out, Scalar({n + t: c, t: sign * c}))
+        return out
+
+    binomial = st.tuples(st.integers(1, 6), st.integers(0, 2),
+                         st.sampled_from([1, 2, -3]), st.sampled_from([1, -1]))
+    binomials = st.lists(binomial, max_size=3)
+    nums = st.dictionaries(st.integers(0, 8), st.integers(-4, 4).filter(bool),
+                           min_size=1, max_size=4)
+    return st.builds(quotient, nums, binomials, binomials)
+
+
 def test_arithmetic_matches_sympy_property():
     # an independent check of the normal form: with sympy's arithmetic
     # and gcd over QQ[z], each result equals the unreduced fraction, its
@@ -152,6 +190,7 @@ def test_arithmetic_matches_sympy_property():
     pytest.importorskip("sympy")
     from sympy.polys.domains import QQ
     from sympy.polys.rings import ring
+    from downup.cyclotomic import _expand, _settle
     st = hypothesis.strategies
     R, _ = ring("z", QQ)
 
@@ -189,15 +228,34 @@ def test_arithmetic_matches_sympy_property():
     laurent = st.builds(Scalar, maps(big), monomial(big))
     dense = st.builds(Scalar, maps(mid), maps(mid, nonzero, 2))
     monomial_num = st.builds(Scalar, monomial(mid), maps(mid, nonzero, 2))
+    # one term over one term, which a product takes as a shift and a scale:
+    # both signs, contents up to 60 and z-orders up to 10^4
+    contents = st.integers(-60, 60).filter(bool)
+    one_term = st.builds(Scalar, *(st.builds(lambda e, c: {e: c}, big,
+                                             contents) for _ in "nd"))
+
+    # denominators from binomials, split before they are multiplied, so
+    # that a one-term product carries the factorization
+    def settled(s):
+        _settle(s)
+        return s
+
+    factored = _binomial_quotients(st).map(settled)
+
+    def carried(s):
+        # a factorization the kernel carries expands to den
+        assert type(s.fac) is not tuple or _expand(s.fac) == s.den
+        return s
 
     def check(pair):
         a, b = pair
         (an, ad), (bn, bd) = ((poly(s.num), poly(s.den)) for s in pair)
         assert normal_form_of(a, an, ad)
-        assert normal_form_of(a + b, an * bd + bn * ad, ad * bd)
-        assert normal_form_of(a * b, an * bn, ad * bd)
+        assert normal_form_of(carried(a + b), an * bd + bn * ad, ad * bd)
+        for product in (a * b, b * a):
+            assert normal_form_of(carried(product), an * bn, ad * bd)
         if b:
-            assert normal_form_of(a / b, an * bd, ad * bn)
+            assert normal_form_of(carried(a / b), an * bd, ad * bn)
 
     # equal denominators take one gcd, of the numerators' sum against the
     # denominator: a sum that cancels to zero, z/(z^2 - 1) + 1/(z^2 - 1)
@@ -214,11 +272,18 @@ def test_arithmetic_matches_sympy_property():
 
     # (a, c - a) makes a + b cancel every term of a
     cancelling =st.tuples(small, small).map(lambda p: (p[0], p[1] - p[0]))
+    # a one-term operand on either side; sympy's gcds on a dense pair past
+    # degree 10^3 take longer, so those pairs run with the dense ones
+    one_term_pairs = [st.tuples(*pair)
+                      for x in (one_term, small, laurent, factored, dense)
+                      for pair in ((one_term, x), (x, one_term))]
     for pairs, runs in ((st.one_of(st.tuples(small, small), cancelling,
                                    st.tuples(laurent, laurent)), 200),
+                        (st.one_of(one_term_pairs[:-2]), 120),
                         (st.one_of(st.tuples(dense, dense),
                                    st.tuples(monomial_num, dense),
-                                   st.tuples(laurent, monomial_num)), 25)):
+                                   st.tuples(laurent, monomial_num),
+                                   *one_term_pairs[-2:]), 40)):
         hypothesis.settings(max_examples=runs, deadline=None, database=None)(
             hypothesis.given(pairs)(check))()
 
@@ -290,23 +355,7 @@ def test_carried_factorization_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from downup.cyclotomic import _expand, _settle
-
-    def quotient(num, above, below):
-        # num times the binomials above over the binomials below, so that
-        # numerators and denominators share repeated cyclotomic factors
-        out = Scalar(num)
-        for binomials, op in ((above, operator.mul),
-                              (below, operator.truediv)):
-            for n, t, c, sign in binomials:
-                out = op(out, Scalar({n + t: c, t: sign * c}))
-        return out
-
-    binomial = st.tuples(st.integers(1, 6), st.integers(0, 2),
-                         st.sampled_from([1, 2, -3]), st.sampled_from([1, -1]))
-    binomials = st.lists(binomial, max_size=3)
-    nums = st.dictionaries(st.integers(0, 8), st.integers(-4, 4).filter(bool),
-                           min_size=1, max_size=4)
-    scalars = st.builds(quotient, nums, binomials, binomials)
+    scalars = _binomial_quotients(st)
 
     def carried(s, splits=True):
         # the factorization kept or found on first use expands to den; a
@@ -333,6 +382,21 @@ def test_carried_factorization_property():
                 carried(b / a, splits=False)
 
     check()
+
+
+def test_division_by_a_cyclotomic_factor_undoes_the_product():
+    # a Phi_m hit divides by the monic Phi_m directly (over z - 1 by running
+    # sums): the quotient of q*Phi_m is q, for sparse and dense q, with or
+    # without a power of z, and the dividend is not written
+    from downup.cyclotomic import _over_phi, _phi
+    rng = random.Random(7)
+    for m in range(1, 31):
+        for _ in range(6):
+            q = {rng.randint(0, 12): rng.choice([-7, -1, 1, 2, 30])
+                 for _ in range(rng.randint(1, 6))}
+            f = _pmul(q, _phi(m))
+            before = dict(f)
+            assert _over_phi(f, m) == q and f == before
 
 
 def test_denominator_built_two_ways_is_one_scalar():
