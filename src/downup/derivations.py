@@ -31,9 +31,9 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .bipoly import BiPoly, apply_phi_power, diff_h, exact_divide_by_a
+from .bipoly import BiPoly, diff_h, exact_divide_by_a
 from .gwa import GwaElement, apply_sigma_mu, basis_word, gwa_mul
-from .scalars import ONE, Scalar, _accumulate, _to_scalar
+from .scalars import ONE, Scalar, _accumulate, _cyclotomic, _to_scalar
 
 
 class DerivationError(ValueError):
@@ -312,19 +312,25 @@ def apply_derivation(algebra, deriv, u):
     D(p v_n) = p D(v_n) + sum_w (phi^w(p) - p) M_{w,n} v_{w+n}, which is
     D(p) sigma_mu(v_n) + p D(v_n) with the c-type part killing p and
     D(p) = sum_w q_w (phi^w(p) - p) v_w.  D(v_n) and each M_{w,n} are kept
-    on the derivation; the rest is BiPoly arithmetic, with no gwa_mul."""
+    on the derivation, and there is no gwa_mul: phi^w(p) - p is c (z^e - 1)
+    at a term c h^i k^j of p, e = w (n1 i + d j), so its product with a
+    term v of M_{w,n} is cyclotomic.times_binomial(c, v, e)."""
     if algebra.spec != deriv.spec:
         raise DerivationError("derivation and algebra parameters differ")
     if deriv.g is not None and deriv.g != algebra.g:
         raise DerivationError(
             "derivation was built over a different conformal polynomial")
-    out = {}
+    spec, out = algebra.spec, {}
     for n, p in u.terms.items():
         for w in deriv.b.terms:
-            dp = apply_phi_power(algebra.spec, p, w) - p
-            if dp:
-                _accumulate(out, w + n,
-                            dp * _twist_factor(algebra, deriv, w, n))
+            terms, times_binomial = {}, _cyclotomic().times_binomial
+            for (i, j), c in p.terms.items():
+                if e := w * (spec.n1 * i + spec.d * j):
+                    for (x, y), v in _twist_factor(
+                            algebra, deriv, w, n).terms.items():
+                        _accumulate(terms, (i + x, j + y),
+                                    times_binomial(c, v, e))
+            _accumulate(out, w + n, BiPoly._raw(terms))
         for m, c in _word_derivative(algebra, deriv, n).terms.items():
             _accumulate(out, m, p * c)
     return GwaElement._raw(out)

@@ -324,6 +324,21 @@ def test_mul_past_the_gcd_degree_cap_exits_2(capsys):
                    "limit of 100000\n")
 
 
+def test_derive_past_the_gcd_degree_cap_exits_2(capsys):
+    # phi(h^40000) - h^40000 = (z^120000 - 1)*h^40000 meets the twist
+    # factor's denominator z^3 - 1: refused as that gcd would be, before the
+    # product by z^120000 - 1 divides out z^3 - 1 into a dense quotient
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "--f", "0,1", "derive", "--derivation",
+                         "w = 1; alpha_h = {1: 1}; "
+                         "alpha_k = {0: (z - 1)/(z^3 - 1)}", "h^40000")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == ("error: a polynomial gcd of degree 120000 is past the "
+                   "limit of 100000\n")
+
+
 def test_derive_c_type_past_the_term_cap_exits_2(capsys):
     # on a monomial with q != 1, C_n has |n| distinct powers of z: for
     # c0 = 1 and a word of length 10^9 that is past MAX_INDEX_SET

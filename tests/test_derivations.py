@@ -502,8 +502,13 @@ def test_closed_form_matches_the_twisted_commutator_property():
     st = hypothesis.strategies
     rationals = st.fractions(min_value=-3, max_value=3,
                              max_denominator=3).filter(bool)
+    # over a cyclotomic denominator and a non-cyclotomic one, so that the
+    # closed form's products by z^e - 1 take both paths of
+    # cyclotomic.times_binomial
     scalars = st.one_of(rationals, st.builds(
-        lambda c, e: Scalar.z_power(e) * c + 1, rationals, st.integers(-2, 2)))
+        lambda c, e: Scalar.z_power(e) * c + 1, rationals, st.integers(-2, 2)),
+        st.builds(lambda c: c / Scalar({3: 1, 0: -1}), rationals),
+        st.builds(lambda c: c / Scalar({1: 1, 0: 2}), rationals))
     algebras = [std_algebra(std_spec(1, 3, 2), (0, 1)),
                 std_algebra(std_spec(2, 3, 5), (0, 1)),
                 std_algebra(std_spec(1, -2, 3), (1, 0, 1))]

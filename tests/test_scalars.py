@@ -384,6 +384,66 @@ def test_carried_factorization_property():
     check()
 
 
+def test_binomial_kernel_matches_the_product_property():
+    # cyclotomic.times_binomial(c, v, e) is c*v*(z^e - 1) with no Phi_m
+    # test: the same stored maps as the product by the binomial, with the
+    # factorization kept or dropped (the GCDHEU path), and a carried
+    # factorization expands to den.  c/(z + 2) has no factorization, and e
+    # runs past MAX_SPLIT_DEGREE
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from downup.cyclotomic import _expand, times_binomial
+    contents = st.integers(-6, 6).filter(bool)
+    terms = st.builds(lambda e, c: {e: c}, st.integers(0, 5), contents)
+    nums = st.dictionaries(st.integers(0, 6), contents, min_size=1,
+                           max_size=3)
+    scalars = st.one_of(
+        _binomial_quotients(st),
+        st.builds(lambda n: Scalar(n, {1: 1, 0: 2}), nums),
+        st.builds(lambda n: Scalar(n, {4: 3, 1: 3}) / Scalar({1: 1, 0: 2}),
+                  nums),
+        st.builds(Scalar, nums, terms), st.builds(Scalar, nums),
+        st.just(ZERO))
+    exponents = st.integers(1, 90).flatmap(lambda e: st.sampled_from([e, -e]))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(scalars, exponents)
+    @hypothesis.example(Scalar({0: 1}, {2: 1, 1: 1, 0: 1}) ** 2, 6)
+    @hypothesis.example(Scalar({0: 1}, {1: 1, 0: -1}), -1)
+    def check(s, e):
+        binomial = Scalar.laurent({e: 1, 0: -1})
+        want, plain = s * binomial, _without_factorization(s)
+        for got in [plain * binomial] + [
+                times_binomial(c, v, e)
+                for c, v in ((ONE, s), (s, ONE), (ONE, plain), (plain, ONE))]:
+            assert (got.num, got.den) == (want.num, want.den)
+            assert type(got.fac) is not tuple or _expand(got.fac) == got.den
+
+    check()
+
+
+def test_binomial_kernel_checks_the_degree_a_gcd_would(monkeypatch):
+    # c's numerator times z^e - 1 is checked against the dense denominators
+    # of c and v, with the span a gcd of that product would take, even when
+    # the product's denominator holds no Phi_m with m | e
+    from downup import scalars
+    from downup.cyclotomic import times_binomial
+    monkeypatch.setattr(scalars, "MAX_GCD_DEGREE", 10)
+    n = Scalar({3: 1, 0: 1})
+    for c, v in ((n, Scalar({0: 1}, {3: 1, 0: -1})),
+                 (n, ONE / Scalar({2: 1, 0: 1})),
+                 (n / Scalar({1: 1, 0: 2}), ONE)):
+        for e in (9, -9):
+            with pytest.raises(ValueError, match="degree 12 is past the"):
+                times_binomial(c, v, e)
+        for e in (7, -7):
+            assert times_binomial(c, v, e) == \
+                c * v * Scalar.laurent({e: 1, 0: -1})
+    # one-term denominators never reach the cap
+    assert times_binomial(n, Scalar({1: 2}, {5: 3}), 40) == \
+        n * Scalar({1: 2}, {5: 3}) * Scalar({40: 1, 0: -1})
+
+
 def test_division_by_a_cyclotomic_factor_undoes_the_product():
     # a Phi_m hit divides by the monic Phi_m directly (over z - 1 by running
     # sums): the quotient of q*Phi_m is q, for sparse and dense q, with or
