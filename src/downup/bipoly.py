@@ -191,8 +191,13 @@ def apply_phi_power(spec, p, w):
     if w == 0:
         return p
     return BiPoly._raw({
-        (i, j): c.times_z(w * (spec.n1 * i + spec.d * j))
+        (i, j): c.times_z(phi_exponent(spec, i, j, w))
         for (i, j), c in p.terms.items()})
+
+
+def phi_exponent(spec, i, j, w=1):
+    """The power of z by which phi^w scales h^i k^j: w (n1 i + d j)."""
+    return w * (spec.n1 * i + spec.d * j)
 
 
 def diff_h(p):

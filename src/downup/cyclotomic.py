@@ -202,28 +202,27 @@ def times(s, c, d, o=None):
     return _made(_pmul(a, c), _fmul(x, y))
 
 
-def times_binomial(c, v, e):
-    # c*v*(z^e - 1), e != 0, with no Phi_m test for z^|e| - 1 = prod of the
-    # Phi_m with m | e: the denominator of s = c*v loses one copy of each it
-    # holds, s's numerator takes the rest, negated and times z^e for e < 0.
-    # c's numerator times z^e - 1 is checked against the dense denominators
-    # of c and v, as a gcd with either would be
-    n, b, d, a = c.num, c.den, v.den, abs(e)
+def times_binomial(s, v, e):
+    # s*v*(z^e - 1), e != 0: z^|e| - 1 is the product of the Phi_m with
+    # m | e, so v's den loses one copy of each it holds, untested, and v's
+    # num takes the rest before the cuts of times.  s's num times z^e - 1 is
+    # checked against the dense dens of s and v, as a gcd with either would
+    n, b, d = s.num, s.den, v.den
     if n and (len(b) > 1 or len(d) > 1):
-        _check_degree(max(n) - min(n) + a, max(b) - min(b), max(d) - min(d))
-    s, f = c * v, {a: 1, 0: -1} if e > 0 else {a: -1, 0: 1}
-    x = s.num and _settle(s)
-    if not x:
-        # zero, or a denominator with no factorization
-        return (s * _new(f, _P_ONE)).times_z(min(e, 0))
-    ms = ()
-    for m, k in x[2]:
-        if a % m == 0:
+        _check_degree(max(n) - min(n) + abs(e), max(b) - min(b),
+                      max(d) - min(d))
+    x, y = n and _settle(s), v.num and _settle(v)
+    if not (x and y):
+        return s * v * scalars.Scalar.laurent({e: 1, 0: -1})
+    f, ms = {e: 1, 0: -1} if e > 0 else {-e: -1, 0: 1}, []
+    for m, k in y[2]:
+        if e % m == 0:
             f, k = _over_phi(f, m), k - 1
-        ms += ((m, k),) * (k > 0)
-    s = (_new(_pmul(s.num, f), s.den, s.fac) if ms == x[2] else
-         _made(_pmul(s.num, f), (*x[:2], ms)))
-    return s.times_z(min(e, 0))
+        ms += [(m, k)] * (k > 0)
+    c, y = _pmul(v.num, f), (*y[:2], tuple(ms))
+    (n, y), (c, x) = (_cut(n, y, d) if d != _P_ONE else (n, y),
+                      _cut(c, x, b) if b != _P_ONE else (c, x))
+    return _made(_pmul(n, c), _fmul(x, y)).times_z(min(e, 0))
 
 
 def add(s, o):

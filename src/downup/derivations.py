@@ -31,7 +31,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .bipoly import BiPoly, diff_h, exact_divide_by_a
+from .bipoly import BiPoly, diff_h, exact_divide_by_a, phi_exponent
 from .gwa import GwaElement, apply_sigma_mu, basis_word, gwa_mul
 from .scalars import ONE, Scalar, _accumulate, _cyclotomic, _to_scalar
 
@@ -278,7 +278,7 @@ def _c_type_factor(spec, c0, n):
     base, out = spec.n2 * (n - 1), {}
     powers, sign = (range(n), 1) if n > 0 else (range(n, 0), -1)
     for (i, j), c in c0.terms.items():
-        e = spec.n1 * i + spec.d * j - spec.n2
+        e = phi_exponent(spec, i, j) - spec.n2
         if e and len(powers) > MAX_INDEX_SET:
             raise DerivationError("c-type factor C_%d has %d terms, more "
                                   "than %d" % (n, len(powers), MAX_INDEX_SET))
@@ -312,24 +312,20 @@ def apply_derivation(algebra, deriv, u):
     D(p v_n) = p D(v_n) + sum_w (phi^w(p) - p) M_{w,n} v_{w+n}, which is
     D(p) sigma_mu(v_n) + p D(v_n) with the c-type part killing p and
     D(p) = sum_w q_w (phi^w(p) - p) v_w.  D(v_n) and each M_{w,n} are kept
-    on the derivation, and there is no gwa_mul: phi^w(p) - p is c (z^e - 1)
-    at a term c h^i k^j of p, e = w (n1 i + d j), so its product with a
-    term v of M_{w,n} is cyclotomic.times_binomial(c, v, e)."""
+    on the derivation; (phi^w(p) - p) M_{w,n} goes through times_binomial."""
     if algebra.spec != deriv.spec:
         raise DerivationError("derivation and algebra parameters differ")
     if deriv.g is not None and deriv.g != algebra.g:
         raise DerivationError(
             "derivation was built over a different conformal polynomial")
-    spec, out = algebra.spec, {}
+    out, times_binomial = {}, deriv.b.terms and _cyclotomic().times_binomial
     for n, p in u.terms.items():
         for w in deriv.b.terms:
-            terms, times_binomial = {}, _cyclotomic().times_binomial
+            twist, terms = _twist_factor(algebra, deriv, w, n).terms, {}
             for (i, j), c in p.terms.items():
-                if e := w * (spec.n1 * i + spec.d * j):
-                    for (x, y), v in _twist_factor(
-                            algebra, deriv, w, n).terms.items():
-                        _accumulate(terms, (i + x, j + y),
-                                    times_binomial(c, v, e))
+                e = phi_exponent(algebra.spec, i, j, w)
+                for (x, y), v in twist.items() if e else ():
+                    _accumulate(terms, (i + x, j + y), times_binomial(c, v, e))
             _accumulate(out, w + n, BiPoly._raw(terms))
         for m, c in _word_derivative(algebra, deriv, n).terms.items():
             _accumulate(out, m, p * c)

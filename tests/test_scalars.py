@@ -385,11 +385,12 @@ def test_carried_factorization_property():
 
 
 def test_binomial_kernel_matches_the_product_property():
-    # cyclotomic.times_binomial(c, v, e) is c*v*(z^e - 1) with no Phi_m
-    # test: the same stored maps as the product by the binomial, with the
-    # factorization kept or dropped (the GCDHEU path), and a carried
-    # factorization expands to den.  c/(z + 2) has no factorization, and e
-    # runs past MAX_SPLIT_DEGREE
+    # cyclotomic.times_binomial(s, t, e) is s*t*(z^e - 1) with no Phi_m test
+    # for the binomial: the same stored maps as the product by the binomial,
+    # with either factorization kept or dropped (the GCDHEU path), and a
+    # carried factorization expands to den.  t's denominator takes the Phi_m
+    # with m | e it holds and s's is tested; c/(z + 2) has no factorization,
+    # and e runs past MAX_SPLIT_DEGREE
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from downup.cyclotomic import _expand, times_binomial
@@ -403,19 +404,22 @@ def test_binomial_kernel_matches_the_product_property():
         st.builds(lambda n: Scalar(n, {4: 3, 1: 3}) / Scalar({1: 1, 0: 2}),
                   nums),
         st.builds(Scalar, nums, terms), st.builds(Scalar, nums),
-        st.just(ZERO))
+        st.just(ZERO), st.just(ONE))
     exponents = st.integers(1, 90).flatmap(lambda e: st.sampled_from([e, -e]))
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
-    @hypothesis.given(scalars, exponents)
-    @hypothesis.example(Scalar({0: 1}, {2: 1, 1: 1, 0: 1}) ** 2, 6)
-    @hypothesis.example(Scalar({0: 1}, {1: 1, 0: -1}), -1)
-    def check(s, e):
+    @hypothesis.given(scalars, scalars, exponents)
+    @hypothesis.example(Scalar({0: 1}, {2: 1, 1: 1, 0: 1}) ** 2, ONE, 6)
+    @hypothesis.example(Scalar({0: 1}, {1: 1, 0: -1}), ONE, -1)
+    @hypothesis.example(Scalar({1: 1}, {3: 1, 0: -1}),
+                        Scalar({0: 2}, {6: 1, 0: -1}), 6)
+    def check(s, t, e):
         binomial = Scalar.laurent({e: 1, 0: -1})
-        want, plain = s * binomial, _without_factorization(s)
-        for got in [plain * binomial] + [
+        want = s * t * binomial
+        ps, pt = _without_factorization(s), _without_factorization(t)
+        for got in [ps * pt * binomial] + [
                 times_binomial(c, v, e)
-                for c, v in ((ONE, s), (s, ONE), (ONE, plain), (plain, ONE))]:
+                for c, v in ((s, t), (t, s), (ps, t), (t, ps))]:
             assert (got.num, got.den) == (want.num, want.den)
             assert type(got.fac) is not tuple or _expand(got.fac) == got.den
 
