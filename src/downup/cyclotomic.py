@@ -19,7 +19,8 @@ import math
 import operator
 
 from . import scalars
-from .scalars import ZERO, _P_ONE, _check_degree, _new, _padd, _pmul
+from .scalars import (ZERO, _P_ONE, _check_degree, _new, _padd, _pmul,
+                      _shifted)
 
 # the degree past which a denominator is not split, so that the orders m
 # of the Phi_m the gcds build and test stay at most 6 times it: the largest
@@ -202,27 +203,44 @@ def times(s, c, d, o=None):
     return _made(_pmul(a, c), _fmul(x, y))
 
 
-def times_binomial(s, v, e):
-    # s*v*(z^e - 1), e != 0: z^|e| - 1 is the product of the Phi_m with
-    # m | e, so v's den loses one copy of each it holds, untested, and v's
-    # num takes the rest before the cuts of times.  s's num times z^e - 1 is
-    # checked against the dense dens of s and v, as a gcd with either would
-    n, b, d = s.num, s.den, v.den
-    if n and (len(b) > 1 or len(d) > 1):
-        _check_degree(max(n) - min(n) + abs(e), max(b) - min(b),
-                      max(d) - min(d))
-    x, y = n and _settle(s), v.num and _settle(v)
+def difference_parts(m, n):
+    # z^e*m - n for every e, as times_difference takes it: for m = a/(z^t*
+    # g*b1) and n = c/(z^u*g*d1), g the gcd of the z-free dens, the maps
+    # a*d1 and -c*b1, t, u, g and b1*d1 as factorizations, and the span of
+    # m's den; (m, n) when either is zero or its den does not factor
+    x, y = m and _settle(m), n and _settle(n)
     if not (x and y):
-        return s * v * scalars.Scalar.laurent({e: 1, 0: -1})
-    f, ms = {e: 1, 0: -1} if e > 0 else {-e: -1, 0: 1}, []
-    for m, k in y[2]:
-        if e % m == 0:
-            f, k = _over_phi(f, m), k - 1
-        ms += [(m, k)] * (k > 0)
-    c, y = _pmul(v.num, f), (*y[:2], tuple(ms))
-    (n, y), (c, x) = (_cut(n, y, d) if d != _P_ONE else (n, y),
-                      _cut(c, x, b) if b != _P_ONE else (c, x))
-    return _made(_pmul(n, c), _fmul(x, y)).times_z(min(e, 0))
+        return m, n
+    g = math.gcd(x[0], y[0]), 0, _vec(min, x[2], y[2])
+    b, d = ((v[0] // g[0], 0, _vec(operator.sub, v[2], g[2])) for v in (x, y))
+    return (_pmul(m.num, _expand(d)), {e: -v for e, v in _pmul(
+        n.num, _expand(b)).items()}, x[1], y[1], g, _fmul(b, d),
+        max(m.den) - min(m.den))
+
+
+def times_difference(s, e, parts):
+    # s*(z^e*m - n) from difference_parts(m, n).  By Henrici the sum
+    # z^(e-t+k)*a*d1 - z^(k-u)*c*b1 over z^k*g*b1*d1, k = max(t - e, u), can
+    # cancel only against z^k*g; it then meets s by the two cuts of times.
+    # s's num times z^e is checked against the dense dens of s and m, the
+    # spans a gcd of s's num times z^e - 1 with either would take
+    if len(parts) == 2:
+        return s * (parts[0].times_z(e) - parts[1])
+    ad, cb, t, u, g, bd, span = parts
+    a, b = s.num, s.den
+    if a and (span or len(b) > 1):
+        _check_degree(max(a) - min(a) + abs(e), max(b) - min(b), span)
+    k = max(t - e, u)
+    f = a and _padd(_shifted(ad, e - t + k), _shifted(cb, k - u))
+    if not f:
+        return ZERO
+    f, g = _cut(f, (g[0], k, g[2]), None)
+    x, y = _settle(s), _fmul(g, bd)
+    if not x:
+        return s * _made(f, y)
+    (a, y), (f, x) = (_cut(a, y, None) if y != (1, 0, ()) else (a, y),
+                      _cut(f, x, b) if b != _P_ONE else (f, x))
+    return _made(_pmul(a, f), _fmul(x, y))
 
 
 def add(s, o):

@@ -18,8 +18,9 @@ therefore stored as its c-type part c0 plus an inner element
 b = sum_w q_w v_w, and the twisted Leibniz rule
     D(a*b) = D(a) sigma_mu(b) + a D(b)
 gives its value on each component in closed form,
-    D(p v_n) = p D(v_n) + sum_w (phi^w(p) - p) M_{w,n} v_{w+n},
-M_{w,n} = q_w mu^{-n} W(w, n) for v_w v_n = W(w, n) v_{w+n}; the test
+    D(p v_n) = p C_n v_n + sum_w (phi^w(p) M_{w,n} - p N_{w,n}) v_{w+n},
+C_n from c0 alone, M_{w,n} v_{w+n} = q_w v_w sigma_mu(v_n) and
+N_{w,n} v_{w+n} = v_n q_w v_w; the test
 suites confirm the answer is factorization-independent for every
 constructed derivation.
 """
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, diff_h, exact_divide_by_a, phi_exponent
 from .gwa import GwaElement, apply_sigma_mu, basis_word, gwa_mul
-from .scalars import ONE, Scalar, _accumulate, _cyclotomic, _to_scalar
+from .scalars import ONE, ZERO, Scalar, _accumulate, _cyclotomic, _to_scalar
 
 
 class DerivationError(ValueError):
@@ -170,9 +171,9 @@ class Derivation:
         self.g = g
         self._weights = sorted(set(weights))
         self.c0, self.b = c0, b
-        # D(v_n) under n, each computed on its own from D(1) = 0, and the
-        # factor M_{w,n} of apply_derivation under (w, n)
-        self.memo = {0: GwaElement()}
+        # apply_derivation's C_n under n and the parts of its twist
+        # factors M_{w,n}, N_{w,n} under (w, n)
+        self.memo = {0: BiPoly()}
 
     def weights(self):
         return list(self._weights)
@@ -287,48 +288,48 @@ def _c_type_factor(spec, c0, n):
     return BiPoly._raw(out)
 
 
-def _word_derivative(algebra, deriv, n):
-    """D(v_n) = C_n(c0) v_n + b sigma_mu(v_n) - v_n b, kept per weight."""
-    memo = deriv.memo
-    if n not in memo:
-        memo[n] = GwaElement({n: _c_type_factor(algebra.spec, deriv.c0, n)}) \
-            + twisted_commutator(algebra, deriv.b, basis_word(n))
-    return memo[n]
-
-
-def _twist_factor(algebra, deriv, w, n):
-    """M_{w,n} = q_w mu^{-n} W(w, n), the one component of
-    (q_w v_w) sigma_mu(v_n), where v_w v_n = W(w, n) v_{w+n}; kept."""
+def _twisted_parts(algebra, deriv, w, n):
+    """The weight w + n part of D(p v_n) is phi^w(p) M_{w,n} - p N_{w,n},
+    for (q_w v_w) sigma_mu(v_n) = M_{w,n} v_{w+n} and v_n q_w v_w =
+    N_{w,n} v_{w+n}; key by key, the parts cyclotomic.difference_parts
+    takes of the two coefficients there, kept."""
     memo, key = deriv.memo, (w, n)
     if key not in memo:
-        q_w = GwaElement._raw({w: deriv.b.terms[w]})
-        memo[key] = gwa_mul(algebra, q_w, apply_sigma_mu(
-            algebra, basis_word(n))).terms[w + n]
+        b_w, v_n = GwaElement._raw({w: deriv.b.terms[w]}), basis_word(n)
+        m, q = (gwa_mul(algebra, *pair).terms.get(w + n, BiPoly()).terms
+                for pair in ((b_w, apply_sigma_mu(algebra, v_n)), (v_n, b_w)))
+        parts = _cyclotomic().difference_parts
+        memo[key] = [(k, parts(m.get(k, ZERO), q.get(k, ZERO)))
+                     for k in {**m, **q}]
     return memo[key]
 
 
 def apply_derivation(algebra, deriv, u):
     """Evaluate the derivation on an element in closed form,
-    D(p v_n) = p D(v_n) + sum_w (phi^w(p) - p) M_{w,n} v_{w+n}, which is
-    D(p) sigma_mu(v_n) + p D(v_n) with the c-type part killing p and
-    D(p) = sum_w q_w (phi^w(p) - p) v_w.  D(v_n) and each M_{w,n} are kept
-    on the derivation; (phi^w(p) - p) M_{w,n} goes through times_binomial."""
+    D(p v_n) = p C_n v_n + sum_w (phi^w(p) M_{w,n} - p N_{w,n}) v_{w+n},
+    which is D(p) sigma_mu(v_n) + p D(v_n) with the c-type part killing p,
+    D(p) = sum_w q_w (phi^w(p) - p) v_w and D(v_n) = C_n v_n + b sigma_mu(v_n)
+    - v_n b.  A term c h^i k^j of p contributes c (z^e M - N) at each key,
+    e = w (n1 i + d j), through cyclotomic.times_difference; C_n and the
+    parts of each (M_{w,n}, N_{w,n}) are kept on the derivation."""
     if algebra.spec != deriv.spec:
         raise DerivationError("derivation and algebra parameters differ")
     if deriv.g is not None and deriv.g != algebra.g:
         raise DerivationError(
             "derivation was built over a different conformal polynomial")
-    out, times_binomial = {}, deriv.b.terms and _cyclotomic().times_binomial
+    out, times = {}, deriv.b.terms and _cyclotomic().times_difference
     for n, p in u.terms.items():
         for w in deriv.b.terms:
-            twist, terms = _twist_factor(algebra, deriv, w, n).terms, {}
+            parts, terms = _twisted_parts(algebra, deriv, w, n), {}
             for (i, j), c in p.terms.items():
                 e = phi_exponent(algebra.spec, i, j, w)
-                for (x, y), v in twist.items() if e else ():
-                    _accumulate(terms, (i + x, j + y), times_binomial(c, v, e))
+                for (x, y), v in parts:
+                    _accumulate(terms, (i + x, j + y), times(c, e, v))
             _accumulate(out, w + n, BiPoly._raw(terms))
-        for m, c in _word_derivative(algebra, deriv, n).terms.items():
-            _accumulate(out, m, p * c)
+        if n not in deriv.memo:
+            deriv.memo[n] = _c_type_factor(algebra.spec, deriv.c0, n)
+        if deriv.memo[n]:
+            _accumulate(out, n, p * deriv.memo[n])
     return GwaElement._raw(out)
 
 

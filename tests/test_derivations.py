@@ -497,14 +497,16 @@ def test_closed_form_matches_the_twisted_commutator_property():
     # derivation: the c-type derivation of c0 plus u -> b sigma_mu(u) - u b,
     # which twisted_commutator builds from gwa_mul alone; combined c-type
     # and alpha derivations on elements of several components and terms,
-    # at the three points of the leibniz benchmark workload
+    # at the three points of the leibniz benchmark workload.  Some
+    # derivations are built by hand with a weight-0 component of b beside
+    # the alpha weights, whose part lands on v_n with C_n: C_n comes from c0
+    # alone, and the weight-n part is counted once
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     rationals = st.fractions(min_value=-3, max_value=3,
                              max_denominator=3).filter(bool)
     # over a cyclotomic denominator and a non-cyclotomic one, so that the
-    # closed form's products by z^e - 1 take both paths of
-    # cyclotomic.times_binomial
+    # closed form takes both paths of cyclotomic.times_difference
     scalars = st.one_of(rationals, st.builds(
         lambda c, e: Scalar.z_power(e) * c + 1, rationals, st.integers(-2, 2)),
         st.builds(lambda c: c / Scalar({3: 1, 0: -1}), rationals),
@@ -536,6 +538,9 @@ def test_closed_form_matches_the_twisted_commutator_property():
             parts.append((data.draw(scalars),
                           build_alpha_derivation(spec, A.g, aspec)))
         D = combine(parts)
+        if data.draw(st.booleans()):
+            D = Derivation(spec, D.g, D.weights() + [0], D.c0,
+                           D.b + GwaElement({0: data.draw(polys(2))}))
         u = data.draw(elements)
         assert apply_derivation(A, D, u) == apply_derivation(
             A, build_c_derivation(spec, CTypeSpec(D.c0)), u) \

@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import operator
 import random
@@ -384,21 +385,36 @@ def test_carried_factorization_property():
     check()
 
 
-def test_binomial_kernel_matches_the_product_property():
-    # cyclotomic.times_binomial(s, t, e) is s*t*(z^e - 1) with no Phi_m test
-    # for the binomial: the same stored maps as the product by the binomial,
-    # with either factorization kept or dropped (the GCDHEU path), and a
-    # carried factorization expands to den.  t's denominator takes the Phi_m
-    # with m | e it holds and s's is tested; c/(z + 2) has no factorization,
-    # and e runs past MAX_SPLIT_DEGREE
+def _with_factorization_reset(s):
+    # the same stored maps with the denominator's factorization to be found
+    # again on first use
+    found = copy.copy(s)
+    found.fac = True
+    return found
+
+
+def test_difference_kernel_matches_the_plain_form_property():
+    # cyclotomic.times_difference(s, e, difference_parts(m, n)) is
+    # s*(z^e*m - n) with one reduction: the same stored maps as the plain
+    # shift, difference and product, with every factorization kept, reset
+    # to be found again or dropped (the GCDHEU path), and a carried
+    # factorization expands to den.  Denominators share or split z^3 - 1,
+    # (z^2 + z + 1)^2, z^5 - 1, powers of z and other binomials; c/(z + 2)
+    # and a factored den over z + 2 have no factorization, and e runs past
+    # MAX_SPLIT_DEGREE
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from downup.cyclotomic import _expand, times_binomial
+    from downup.cyclotomic import _expand, difference_parts, times_difference
     contents = st.integers(-6, 6).filter(bool)
-    terms = st.builds(lambda e, c: {e: c}, st.integers(0, 5), contents)
     nums = st.dictionaries(st.integers(0, 6), contents, min_size=1,
                            max_size=3)
+    factors = st.lists(st.sampled_from([
+        {3: 1, 0: -1}, {4: 1, 3: 2, 2: 3, 1: 2, 0: 1}, {5: 1, 0: -1}]),
+        max_size=2)
+    terms = st.builds(lambda e, c: {e: c}, st.integers(0, 5), contents)
     scalars = st.one_of(
+        st.builds(lambda n, fs, t: Scalar(n, functools.reduce(
+            _pmul, fs, t)), nums, factors, terms),
         _binomial_quotients(st),
         st.builds(lambda n: Scalar(n, {1: 1, 0: 2}), nums),
         st.builds(lambda n: Scalar(n, {4: 3, 1: 3}) / Scalar({1: 1, 0: 2}),
@@ -406,46 +422,55 @@ def test_binomial_kernel_matches_the_product_property():
         st.builds(Scalar, nums, terms), st.builds(Scalar, nums),
         st.just(ZERO), st.just(ONE))
     exponents = st.integers(1, 90).flatmap(lambda e: st.sampled_from([e, -e]))
+    cube = ONE / Scalar({3: 1, 0: -1})
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
-    @hypothesis.given(scalars, scalars, exponents)
-    @hypothesis.example(Scalar({0: 1}, {2: 1, 1: 1, 0: 1}) ** 2, ONE, 6)
-    @hypothesis.example(Scalar({0: 1}, {1: 1, 0: -1}), ONE, -1)
-    @hypothesis.example(Scalar({1: 1}, {3: 1, 0: -1}),
-                        Scalar({0: 2}, {6: 1, 0: -1}), 6)
-    def check(s, t, e):
-        binomial = Scalar.laurent({e: 1, 0: -1})
-        want = s * t * binomial
-        ps, pt = _without_factorization(s), _without_factorization(t)
-        for got in [ps * pt * binomial] + [
-                times_binomial(c, v, e)
-                for c, v in ((s, t), (t, s), (ps, t), (t, ps))]:
+    @hypothesis.given(scalars, scalars, scalars, exponents)
+    @hypothesis.example(ONE, cube, cube, 6)
+    @hypothesis.example(Scalar({0: 2}, {2: 1}), cube ** 2,
+                        Scalar({1: 1}, {5: 1, 0: -1}), -3)
+    @hypothesis.example(ZERO, cube, Z, 1)
+    def check(s, m, n, e):
+        want = s * (m.times_z(e) - n)
+        plain = [_without_factorization(v) for v in (s, m, n)]
+        found = [_with_factorization_reset(v) for v in (s, m, n)]
+        for got in [plain[0] * (plain[1].times_z(e) - plain[2])] + [
+                times_difference(a, e, difference_parts(b, c))
+                for a, b, c in ((s, m, n), plain, found)]:
             assert (got.num, got.den) == (want.num, want.den)
             assert type(got.fac) is not tuple or _expand(got.fac) == got.den
 
     check()
 
 
-def test_binomial_kernel_checks_the_degree_a_gcd_would(monkeypatch):
-    # c's numerator times z^e - 1 is checked against the dense denominators
-    # of c and v, with the span a gcd of that product would take, even when
-    # the product's denominator holds no Phi_m with m | e
+def test_difference_kernel_checks_the_degree_a_gcd_would(monkeypatch):
+    # s's numerator times z^e is checked against the dense denominators of
+    # s and m, the spans a gcd of s's numerator times z^e - 1 with either
+    # would take, as the product by phi^w(p) - p that the fused form
+    # replaces did; the fused numerator meets a dense den of s in a cut,
+    # which checks its span.  A dense den of n alone, or one-term dens, are
+    # not checked
     from downup import scalars
-    from downup.cyclotomic import times_binomial
+    from downup.cyclotomic import difference_parts, times_difference
+    n3, phi3 = Scalar({3: 1, 0: 1}), Scalar({2: 1, 1: 1, 0: 1})
+    cube, term = ONE / Scalar({3: 1, 0: -1}), Scalar({1: 2}, {5: 3})
+    refused = [(n3, cube, cube), (n3, ONE / phi3, ONE),
+               (n3 / phi3, ONE, Scalar({0: 2}, {1: 3})),
+               (n3 / Scalar({1: 1, 0: 2}), Z, ONE)]
+    passed = [(s, m, n, e) for s, m, n in refused for e in (7, -7)] + [
+        (n3, term, ONE / phi3, 40), (n3, term, Scalar({0: 1}, {2: 1}), 40)]
+    # the plain form, at the usual cap, as the reference
+    want = [s * (m.times_z(e) - n) for s, m, n, e in passed]
     monkeypatch.setattr(scalars, "MAX_GCD_DEGREE", 10)
-    n = Scalar({3: 1, 0: 1})
-    for c, v in ((n, Scalar({0: 1}, {3: 1, 0: -1})),
-                 (n, ONE / Scalar({2: 1, 0: 1})),
-                 (n / Scalar({1: 1, 0: 2}), ONE)):
+    for s, m, n in refused:
         for e in (9, -9):
             with pytest.raises(ValueError, match="degree 12 is past the"):
-                times_binomial(c, v, e)
-        for e in (7, -7):
-            assert times_binomial(c, v, e) == \
-                c * v * Scalar.laurent({e: 1, 0: -1})
-    # one-term denominators never reach the cap
-    assert times_binomial(n, Scalar({1: 2}, {5: 3}), 40) == \
-        n * Scalar({1: 2}, {5: 3}) * Scalar({40: 1, 0: -1})
+                times_difference(s, e, difference_parts(m, n))
+    with pytest.raises(ValueError, match="degree 12 is past the"):
+        times_difference(ONE, 1, difference_parts(
+            ONE / Scalar({12: 1, 0: -1}), ONE))
+    assert [times_difference(s, e, difference_parts(m, n))
+            for s, m, n, e in passed] == want
 
 
 def test_division_by_a_cyclotomic_factor_undoes_the_product():
