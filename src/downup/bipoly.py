@@ -9,8 +9,8 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .scalars import (ONE, ZERO, _accumulate, _as_scalar, _padd, _signed_sum,
-                      _times_text, _to_scalar)
+from .scalars import (ONE, ZERO, _accumulate, _as_scalar, _padd, _pow,
+                      _signed_sum, _times_text, _to_scalar)
 
 
 class _Sparse:
@@ -161,10 +161,7 @@ class BiPoly(_Sparse):
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        out = BiPoly.one()
-        for _ in range(e):
-            out = out * self
-        return out
+        return _pow(self, e, BiPoly.one())
 
     def __str__(self):
         return _signed_sum([_times_text(c, _monomial_text(i, j))

@@ -7,12 +7,14 @@ constants of a down-up algebra are stored as integer powers of z,
 
 so r is never a root of unity and questions such as "is s a power of r"
 reduce to integer arithmetic on exponents.  No floating point anywhere:
-a scalar is a quotient of coprime polynomials in Z[z], and products and
-sums reduce it by gcds of cross pairs only (Henrici, JACM 3, 1956).
+a scalar is a quotient of coprime polynomials in Z[z], its denominator
+factored as c*z^t*prod Phi_m^e*R from birth, and products and sums reduce
+it by gcds of cross pairs only (Henrici, JACM 3, 1956).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import namedtuple
@@ -21,6 +23,12 @@ from fractions import Fraction
 # the degree past which a dense pair is refused before the gcd, which holds
 # each map as one integer of k*degree bits (compare MAX_INDEX_SET)
 MAX_GCD_DEGREE = 100_000
+
+# the degree past which a denominator is not split, so that the orders m
+# of the Phi_m the gcds build and test stay at most 6 times it: the largest
+# degree up to which sums and products over z^n - 1 denominators ran no
+# slower factored than by GCDHEU (1.4 to 1.6 times slower at n = 84 and 90)
+MAX_SPLIT_DEGREE = 72
 
 
 class ParameterError(ValueError):
@@ -67,88 +75,6 @@ def _pmul(a, b):
 _P_ONE = {0: 1}
 
 
-def _primitive(p, shift=0):
-    # p / z^shift as content * q: q with content 1 and a positive leading
-    # coefficient, content an int of the sign of p's leading coefficient
-    g = math.gcd(*p.values())
-    if p[max(p)] < 0:
-        g = -g
-    return g, {e - shift: c // g for e, c in p.items()}
-
-
-def _zdivmod(a, b):
-    # (quotient, remainder) of a by b over Z, or None if a step is inexact
-    top, lead = max(b), b[max(b)]
-    rest = [(e - top, c) for e, c in b.items() if e != top]
-    rem, quo = dict(a), {}
-    for e in range(max(a), top - 1, -1):
-        c = rem.pop(e, 0)
-        if c:
-            q, r = divmod(c, lead)
-            if r:
-                return None
-            quo[e - top] = q
-            for i, cb in rest:
-                _accumulate(rem, e + i, -q * cb)
-    return quo, rem
-
-
-def _prs_gcd(f, g):
-    # the gcd of two primitive integer maps with positive leading
-    # coefficients, with both cofactors, by a primitive pseudo-remainder
-    # sequence (Brown, JACM 18, 1971)
-    a, b = (f, g) if max(f) >= max(g) else (g, f)
-    while b:
-        lead = b[max(b)] ** (max(a) - max(b) + 1)
-        rem = _zdivmod({e: c * lead for e, c in a.items()}, b)[1]
-        a, b = b, rem and _primitive(rem)[1]
-    return a, _zdivmod(f, a)[0], _zdivmod(g, a)[0]
-
-
-def _heu_bits(f, g):
-    # the k of GCDHEU's first xi = 2^k, past 2 min(|f|, |g|) + 2
-    return (2 * min(max(map(abs, f.values())), max(map(abs, g.values())))
-            + 2).bit_length()
-
-
-def _heu_value(p, k, shift):
-    # the integer value of p / z^shift at xi = 2^k
-    return sum(c << k * (e - shift) for e, c in p.items())
-
-
-def _heu_gcd(f, g, a, b):
-    # the gcd h of f/z^a and g/z^b, primitive with a positive lead, and the
-    # cofactors f/h and g/h, by GCDHEU (Char, Geddes & Gonnet, J. Symb.
-    # Comput. 7, 1989) on the maps as they are, contents kept: the integer
-    # gcd of the values at xi = 2^k, read back as a map from its balanced
-    # base-xi digits.  For xi >= 2 min(|f|, |g|) + 2 every common root lies
-    # within the Cauchy bound 1 + norm < xi/2, so a candidate whose
-    # primitive part divides both maps is the gcd, and a constant one (a
-    # value gcd of 1 among them) proves the pair coprime.  A candidate has
-    # a constant term, as xi/2 is past the lowest coefficient of the map of
-    # smaller norm, so it divides f just when it divides f/z^a.  After 6
-    # values of xi, fall back to the remainder sequence on primitive parts.
-    k = _heu_bits(f, g)
-    for _ in range(6):
-        h = math.gcd(_heu_value(f, k, a), _heu_value(g, k, b))
-        half, cand, e = 1 << (k - 1), {}, 0
-        while h:
-            c = ((h + half) & ((half << 1) - 1)) - half
-            if c:
-                cand[e] = c
-            h, e = (h - c) >> k, e + 1
-        cand = _primitive(cand)[1]
-        if cand == _P_ONE:
-            return cand, f, g
-        cf = _zdivmod(f, cand)
-        cg = cf and not cf[1] and _zdivmod(g, cand)
-        if cg and not cg[1]:
-            return cand, cf[0], cg[0]
-        k += k // 4 + 2
-    h = _prs_gcd(_primitive(f, a)[1], _primitive(g, b)[1])[0]
-    return h, _zdivmod(f, h)[0], _zdivmod(g, h)[0]
-
-
 def _check_degree(*spans):
     # refuse a gcd of two maps with two or more terms each when either
     # spans past MAX_GCD_DEGREE
@@ -161,15 +87,16 @@ def _zgcd(f, g):
     # the gcd in Z[z] of two nonzero integer maps, with a positive lead,
     # and both cofactors: c*z^t*h, for h the primitive gcd of the z-free
     # parts (1 when either is a monomial) and c the gcd of the contents,
-    # read off the cofactors, whose contents are those of f and g; a gcd
-    # with 1 is 1, and both maps come back as they are
+    # read off the cofactors, whose contents are those of f and g, and h by
+    # downup.cyclotomic's GCDHEU; a gcd with 1 is 1, and both maps come
+    # back as they are
     if f == _P_ONE or g == _P_ONE:
         return _P_ONE, f, g
     a, b = min(f), min(g)
     t, h = min(a, b), _P_ONE
     if len(f) > 1 and len(g) > 1:
         _check_degree(max(f) - a, max(g) - b)
-        h, f, g = _heu_gcd(f, g, a, b)
+        h, f, g = _cyclotomic()._heu_gcd(f, g, a, b)
     c = math.gcd(*f.values(), *g.values())
     if c == 1:
         return _shifted(h, t), _shifted(f, -t), _shifted(g, -t)
@@ -229,8 +156,10 @@ class Scalar:
     dictionaries and witness exact identities.  Results share maps, so no
     map held by a Scalar is ever mutated, and num and den are never
     assigned after construction: == and hash read them as they are.
-    fac caches den's factorization for downup.cyclotomic: True until it is
-    looked for, and None when den has one term; == and hash never read it.
+    fac is den's factorization (c, t, ms, R), set when the scalar is born:
+    den = c*z^t*prod Phi_m^e*R over the (m, e) pairs ms, sorted by m, with
+    R the primitive z-free residual, {0: 1} when den splits; == and hash
+    never read it.
     """
 
     __slots__ = ("num", "den", "fac")
@@ -242,22 +171,23 @@ class Scalar:
         m = math.lcm(*(c.denominator for p in (num, den) for c in p.values()))
         num, den = ({e: c.numerator * (m // c.denominator)
                      for e, c in p.items()} for p in (num, den))
-        s = _new(*_zgcd(num, den)[1:]) if num else ZERO
-        self.num, self.den, self.fac = s.num, s.den, len(s.den) > 1 or None
+        s = _new(num, _P_ONE) * _new(_P_ONE, den)
+        self.num, self.den, self.fac = s.num, s.den, s.fac
 
     @classmethod
     def from_rational(cls, q):
         if not isinstance(q, (int, Fraction)):
             raise TypeError("not an exact rational: %r" % (q,))
         q = Fraction(q)
-        return _new({0: q.numerator} if q else {}, {0: q.denominator})
+        return _new({0: q.numerator} if q else {}, {0: q.denominator},
+                    (q.denominator, 0, (), _P_ONE))
 
     @classmethod
     def z_power(cls, e):
         """z^e for any integer e; negative e lands in the denominator."""
         if e >= 0:
-            return _new({e: 1}, _P_ONE)
-        return _new(_P_ONE, {-e: 1})
+            return _new({e: 1}, _P_ONE, _UNIT)
+        return _new(_P_ONE, {-e: 1}, (1, -e, (), _P_ONE))
 
     @classmethod
     def laurent(cls, terms):
@@ -278,38 +208,41 @@ class Scalar:
             return self
         # the lower of the orders of num*z^e and den, taken from both
         t = min(min(n) + e, min(d))
-        s = Scalar.__new__(Scalar)
-        s.num, s.den, f = _shifted(n, e - t), _shifted(d, -t), self.fac
-        s.fac = (f[0], f[1] - t, f[2]) if type(f) is tuple else f
+        (c, u, ms, r), s = self.fac, Scalar.__new__(Scalar)
+        s.num, s.den, s.fac = _shifted(n, e - t), _shifted(d, -t), (
+            c, u - t, ms, r)
         return s
 
     # -- ring/field structure ------------------------------------------------
 
     def __add__(self, other):
+        # by Henrici, over one denominator only gcd(a + c, b) can cancel;
+        # else, with g = gcd(b, d), t/(g*b'*d') can only cancel gcd(t, g).
+        # g is the min of the two factorizations when both split, else the
+        # exact gcd of b and d, as a min would miss a Phi_m inside R
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
-        # the cyclotomic layer takes a known factorization, or a gcd of two
-        # dense maps where a denominator may factor; so in __mul__ and
-        # __truediv__
-        fb, fd = self.fac, o.fac
-        if (fb or fd) and (self.den == o.den or len(self.den) > 1 < len(o.den)
-                           or type(fb) is tuple or type(fd) is tuple):
-            return _cyclotomic().add(self, o)
         a, b, c, d = self.num, self.den, o.num, o.den
+        x, y = self.fac, o.fac
         if b == d:
-            # one denominator: only gcd(a + c, b) can cancel, none when b is 1
             t = _padd(a, c)
-            if t and b != _P_ONE:
-                _, t, b = _zgcd(t, b)
-            return _new(t, b, len(b) > 1 or None)
-        # Henrici: with g = gcd(b, d), t/(g*b'*d') can only cancel gcd(t, g)
-        g, b, d = _zgcd(b, d)
-        t = _padd(_pmul(a, d), _pmul(c, b))
+            return _made(*_cancel(t, x, b)) if t else ZERO
+        if x[3] == y[3] == _P_ONE:
+            if len(b) > 1 < len(d):
+                _check_degree(max(b) - min(b), max(d) - min(d))
+            g = (math.gcd(x[0], y[0]), min(x[1], y[1]),
+                 _vec(min, x[2], y[2]), _P_ONE)
+            x, y = ((v[0] // g[0], v[1] - g[1], _vec(operator.sub, v[2], g[2]),
+                     _P_ONE) for v in (x, y))
+        else:
+            g, x, y = map(_factored, _zgcd(b, d))
+        t = _padd(_pmul(a, _expand(y)), _pmul(c, _expand(x)))
         if not t:
             return ZERO
-        _, t, g = _zgcd(t, g)
-        return _new(t, d := _pmul(_pmul(g, b), d), len(d) > 1 or None)
+        # g spans no more than b and d, checked above
+        t, g = _cancel(t, g, None)
+        return _made(t, _fmul(_fmul(g, x), y))
 
     __radd__ = __add__
 
@@ -329,19 +262,19 @@ class Scalar:
         return o + (-self)
 
     def __mul__(self, other):
+        # by Henrici only gcd(a, d) and gcd(c, b) can cancel
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
         if len(self.num) == len(self.den) == 1:
             self, o = o, self
-        if len(o.num) == len(o.den) == 1 and self.num:
-            return _by_term(self, o.num, o.den)
-        fb, fd = self.fac, o.fac
-        if (fb or fd) and (len(self.num) > 1 < len(o.den)
-                           or len(o.num) > 1 < len(self.den)
-                           or type(fb) is tuple or type(fd) is tuple):
-            return _cyclotomic().times(self, o.num, o.den, o)
-        return _times(self.num, self.den, o.num, o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if not a or not c:
+            return ZERO
+        if len(c) == len(d) == 1:
+            return _by_term(self, c, d)
+        (a, y), (c, x) = _cancel(a, o.fac, d), _cancel(c, self.fac, b)
+        return _made(_pmul(a, c), _fmul(x, y))
 
     __rmul__ = __mul__
 
@@ -349,13 +282,7 @@ class Scalar:
         o = _as_scalar(other)
         if o is None:
             return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError("zero divisor")
-        fb = self.fac
-        if len(self.num) > 1 < len(o.num) or fb and (
-                len(o.den) > 1 or type(fb) is tuple):
-            return _cyclotomic().times(self, o.den, o.num)
-        return _times(self.num, self.den, o.den, o.num)
+        return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = _as_scalar(other)
@@ -366,16 +293,12 @@ class Scalar:
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        base = self.inverse() if e < 0 else self
-        out = ONE
-        for _ in range(abs(e)):
-            out = out * base
-        return out
+        return _pow(self.inverse() if e < 0 else self, abs(e), ONE)
 
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("zero divisor")
-        return _new(self.den, self.num, len(self.num) > 1 or None)
+        return _new(self.den, self.num)
 
     def __bool__(self):
         return bool(self.num)
@@ -406,16 +329,27 @@ class Scalar:
         return self.den.keys() == {0} and len(self.num) > 1
 
 
+def _pow(x, e, one, mul=operator.mul):
+    # x^e for an int e >= 0 by squaring: about 2 log2(e) products
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        e >>= 1
+        x = mul(x, x) if e else x
+    return out
+
+
 def _new(n, d, fac=None):
-    # the scalar n/d from maps coprime in Z[z], fac as Scalar keeps it: both
-    # signs flip when d's leading coefficient is negative, and zero is
-    # stored as {}/1
+    # the scalar n/d from maps coprime in Z[z], fac the factorization of d,
+    # found from d when not given: both signs flip when d's leading
+    # coefficient is negative, and zero is stored as {}/1
     s = Scalar.__new__(Scalar)
     if not n:
-        d, fac = _P_ONE, None
+        d, fac = _P_ONE, _UNIT
     elif d[max(d)] < 0:
         n, d = ({e: -c for e, c in p.items()} for p in (n, d))
-    s.num, s.den, s.fac = n, d, fac
+    s.num, s.den, s.fac = n, d, fac or _factored(d)
     return s
 
 
@@ -424,14 +358,67 @@ def _shifted(p, k):
     return {e + k: c for e, c in p.items()} if k else p
 
 
-def _times(a, b, c, d):
-    # (a/b)*(c/d) from two quotients in lowest terms: by Henrici only
-    # gcd(a, d) and gcd(c, b) can cancel
-    if not a or not c:
-        return ZERO
-    _, a, d = _zgcd(a, d)
-    _, c, b = _zgcd(c, b)
-    return _new(_pmul(a, c), d := _pmul(b, d), len(d) > 1 or None)
+def _factored(d):
+    # d, with a positive lead, as (c, t, ms, R): c its content, t its
+    # z-order and R its primitive z-free part unless that splits.  A
+    # binomial z^n - 1 is the product of the Phi_m over the m dividing n;
+    # another monic part with a constant term of -+1 is split by
+    # downup.cyclotomic, up to degree MAX_SPLIT_DEGREE
+    if len(d) == 1:
+        (t, c), = d.items()
+        return c, t, (), _P_ONE
+    t, c = min(d), math.gcd(*d.values())
+    r = {e - t: v // c for e, v in d.items()} if c != 1 or t else d
+    n = max(r)
+    ms = n <= MAX_SPLIT_DEGREE and r[n] == abs(r[0]) == 1 and (
+        tuple((m, 1) for m in range(1, n + 1) if n % m == 0)
+        if r == {n: 1, 0: -1} else _cyclotomic()._split(frozenset(r.items())))
+    return (c, t, ms, _P_ONE) if ms else (c, t, (), r)
+
+
+@functools.lru_cache(maxsize=4096)
+def _vec(op, x, y):
+    # op (add, sub or min) on two exponent vectors of (m, e) pairs
+    a, b = dict(x), dict(y)
+    return tuple((m, e) for m in sorted({*a, *b})
+                 if (e := op(a.get(m, 0), b.get(m, 0))) > 0)
+
+
+def _fmul(x, y):
+    # the factorization of a product of two denominators
+    return (x[0] * y[0], x[1] + y[1], _vec(operator.add, x[2], y[2]),
+            _pmul(x[3], y[3]))
+
+
+def _expand(fac):
+    # the map of the denominator of factorization fac, prod Phi_m^e from
+    # downup.cyclotomic's memo
+    c, t, ms, r = fac
+    p = _pmul(_cyclotomic()._product(ms), r) if ms else r
+    return {e + t: v * c for e, v in p.items()} if c != 1 or t else p
+
+
+def _cancel(f, fac, g):
+    # f over its gcd h with the denominator g of factorization fac, and the
+    # factorization of g/h: the content gcd, the lower z-order, then one
+    # Phi_m | f test per factor (cyclotomic._cut) and a gcd with R unless R
+    # is 1.  That is the gcd whatever R holds, by unique factorization.  g
+    # is None for a denominator whose span was checked already
+    c, t, ms, r = fac
+    k, s = math.gcd(c, *f.values()) if c != 1 else 1, t and min(min(f), t)
+    if k > 1 or s:
+        f, c, t = {e - s: v // k for e, v in f.items()}, c // k, t - s
+    if len(f) > 1 and ms:
+        _check_degree(max(f) - min(f), max(g) - min(g) if g else 0)
+        f, ms = _cyclotomic()._cut(f, ms)
+    if len(f) > 1 and r != _P_ONE:
+        _, f, r = _zgcd(f, r)
+    return f, (c, t, ms, r)
+
+
+def _made(n, fac):
+    # the scalar n over the denominator of factorization fac
+    return _new(n, _expand(fac), fac)
 
 
 def _by_term(s, n, d):
@@ -439,32 +426,32 @@ def _by_term(s, n, d):
     # gcd(p, content of s.den), gcd(q, content of s.num) and z^t, t the
     # lower of i and ord_z s.den or of j and ord_z s.num, can cancel, so
     # den keeps a positive lead and s.fac carries over rescaled
-    a, b, fac = s.num, s.den, s.fac
+    a, b, f = s.num, s.den, s.fac
     ((i, p),), ((j, q),) = n.items(), d.items()
     g = math.gcd(q, *a.values()) if q != 1 else 1
     h = math.gcd(p, *b.values()) if b != _P_ONE else 1
     t = min(i, min(b)) if i else min(j, min(a)) if j else 0
-    p, q, r = p // h, q // g, Scalar.__new__(Scalar)
-    if type(fac) is tuple:
-        fac = (fac[0] // h * q, fac[1] + j - t, fac[2])
-    r.num, r.den, r.fac = {e + i - t: v // g * p for e, v in a.items()}, (
-        b if b == d == _P_ONE else
-        {e + j - t: v // h * q for e, v in b.items()}), fac
-    return r
+    p, q, o = p // h, q // g, Scalar.__new__(Scalar)
+    o.num = {e + i - t: v // g * p for e, v in a.items()}
+    o.den, o.fac = (b, f) if b == d == _P_ONE else (
+        {e + j - t: v // h * q for e, v in b.items()},
+        (f[0] // h * q, f[1] + j - t, f[2], f[3]))
+    return o
 
 
 _LAYER = None
 
 
 def _cyclotomic():
-    # downup.cyclotomic, imported on the first sum or product it serves, so
-    # that a set-up that meets no dense gcd never compiles it
+    # downup.cyclotomic, imported on the first Phi_m test, expansion or
+    # split it serves, so that a set-up that meets none never compiles it
     global _LAYER
     if _LAYER is None:
         from . import cyclotomic as _LAYER
     return _LAYER
 
 
+_UNIT = (1, 0, (), _P_ONE)
 ZERO = _new({}, _P_ONE)
 ONE = _new(_P_ONE, _P_ONE)
 

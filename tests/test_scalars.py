@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from downup import (ONE, ZERO, ParameterError, ParamSpec, Scalar,
+from downup import (ONE, ZERO, BiPoly, ParameterError, ParamSpec, Scalar,
                     parse_scalar, validate_param_spec)
 from downup.sampling import random_scalar
 from downup.scalars import _pmul
@@ -181,6 +181,19 @@ def _binomial_quotients(st):
     return st.builds(quotient, nums, binomials, binomials)
 
 
+# sums and products where a residual R shares a Phi_m with the other
+# operand, so that a min of the two factorizations would miss it: the
+# Phi_1 inside (z - 1)*(z + 2), and the printed results
+RESIDUAL_TRAPS = [
+    ("1/((z - 1)*(z + 2))", operator.add, "1/(z - 1)",
+     "(z + 3)/(z^2 + z - 2)"),
+    ("1/((z - 1)*(z + 2))", operator.sub, "1/(z^2 - 1)",
+     "-1/(z^3 + 2*z^2 - z - 2)"),
+    ("(z^2 + z + 1)/((z^3 - 1)*(z + 2))", operator.mul,
+     "(z - 1)/(z^2 + z + 1)", "1/(z^3 + 3*z^2 + 3*z + 2)"),
+]
+
+
 def test_arithmetic_matches_sympy_property():
     # an independent check of the normal form: with sympy's arithmetic
     # and gcd over QQ[z], each result equals the unreduced fraction, its
@@ -191,7 +204,7 @@ def test_arithmetic_matches_sympy_property():
     pytest.importorskip("sympy")
     from sympy.polys.domains import QQ
     from sympy.polys.rings import ring
-    from downup.cyclotomic import _expand, _settle
+    from downup.scalars import _expand
     st = hypothesis.strategies
     R, _ = ring("z", QQ)
 
@@ -235,17 +248,13 @@ def test_arithmetic_matches_sympy_property():
     one_term = st.builds(Scalar, *(st.builds(lambda e, c: {e: c}, big,
                                              contents) for _ in "nd"))
 
-    # denominators from binomials, split before they are multiplied, so
-    # that a one-term product carries the factorization
-    def settled(s):
-        _settle(s)
-        return s
-
-    factored = _binomial_quotients(st).map(settled)
+    # denominators from binomials, split at birth, so that a one-term
+    # product carries the factorization
+    factored = _binomial_quotients(st)
 
     def carried(s):
-        # a factorization the kernel carries expands to den
-        assert type(s.fac) is not tuple or _expand(s.fac) == s.den
+        # the factorization every scalar carries expands to den
+        assert _expand(s.fac) == s.den
         return s
 
     def check(pair):
@@ -270,6 +279,11 @@ def test_arithmetic_matches_sympy_property():
         check(pair)
         s = pair[0] + pair[1]
         assert (s.num, s.den) == (total.num, total.den)
+    for a, op, b, text in RESIDUAL_TRAPS:
+        a, b = parse_scalar(a), parse_scalar(b)
+        check((a, b))
+        check((a, -b))
+        assert str(op(a, b)) == text
 
     # (a, c - a) makes a + b cancel every term of a
     cancelling =st.tuples(small, small).map(lambda p: (p[0], p[1] - p[0]))
@@ -340,71 +354,74 @@ def test_stored_form_property():
     check()
 
 
-def _without_factorization(s):
-    # the same stored maps with the denominator's factorization dropped, so
-    # that its gcds take the GCDHEU path
-    plain = copy.copy(s)
-    plain.fac = None
+def _residual_form(s):
+    # the same stored maps with the denominator kept as c*z^t*R, R its whole
+    # primitive z-free part, so that every gcd with it takes the GCDHEU path
+    plain, d = copy.copy(s), s.den
+    t, c = min(d), math.gcd(*d.values())
+    plain.fac = c, t, (), {e - t: v // c for e, v in d.items()}
     return plain
 
 
 def test_carried_factorization_property():
     # a denominator built from binomials z^(n + t) -/+ z^t splits into
-    # c*z^t*prod Phi_m^e, kept or found on first use, which must expand to
-    # den, and every sum, difference and product must store the same maps
-    # as with both factorizations dropped (the GCDHEU path)
+    # c*z^t*prod Phi_m^e at birth, which must expand to den, and every sum,
+    # difference and product must store the same maps as with both
+    # denominators in the residual form (the GCDHEU path); so must the
+    # sums and products where a residual shares a Phi_m with the other
+    # operand
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from downup.cyclotomic import _expand, _settle
+    from downup.scalars import _expand
     scalars = _binomial_quotients(st)
 
-    def carried(s, splits=True):
-        # the factorization kept or found on first use expands to den; a
-        # denominator built from binomials alone always splits
-        fac = _settle(s)
-        assert _expand(fac) == s.den if fac else not splits
+    def carried(s, splits):
+        # the factorization set at birth expands to den; a denominator
+        # built from binomials alone splits, leaving the residual 1
+        assert _expand(s.fac) == s.den
+        assert s.fac[3] == {0: 1} or not splits
         return s
+
+    def check(pool, splits):
+        a, b = pool[0], pool[1]
+        for c in pool[2:]:
+            a, b = carried(a * c, splits), carried(b + c, splits)
+        for a, b in ((a, b), (b, a), (a, a)):
+            for op in (operator.add, operator.sub, operator.mul):
+                got = carried(op(a, b), splits)
+                want = op(_residual_form(a), _residual_form(b))
+                assert (got.num, got.den) == (want.num, want.den)
+            if a:
+                carried(a.inverse(), False)
+                carried(b / a, False)
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
     @hypothesis.given(st.lists(scalars, min_size=2, max_size=4))
     @hypothesis.example([Scalar({2: 1, 1: -2, 0: 1}),          # (z - 1)^2
                          ONE / Scalar({1: 1, 0: -1}) / Scalar({2: 1, 0: -1})])
-    def check(pool):
-        a, b = pool[0], pool[1]
-        for c in pool[2:]:
-            a, b = carried(a * c), carried(b + c)
-        for a, b in ((a, b), (b, a), (a, a)):
-            for op in (operator.add, operator.sub, operator.mul):
-                got = carried(op(a, b))
-                want = op(_without_factorization(a), _without_factorization(b))
-                assert (got.num, got.den) == (want.num, want.den)
-            if a:
-                carried(a.inverse(), splits=False)
-                carried(b / a, splits=False)
+    def check_split(pool):
+        check(pool, True)
 
-    check()
-
-
-def _with_factorization_reset(s):
-    # the same stored maps with the denominator's factorization to be found
-    # again on first use
-    found = copy.copy(s)
-    found.fac = True
-    return found
+    check_split()
+    for a, op, b, text in RESIDUAL_TRAPS:
+        a, b = parse_scalar(a), parse_scalar(b)
+        check([a, b], False)
+        assert str(op(a, b)) == text
 
 
 def test_difference_kernel_matches_the_plain_form_property():
     # cyclotomic.times_difference(s, e, difference_parts(m, n)) is
     # s*(z^e*m - n) with one reduction: the same stored maps as the plain
-    # shift, difference and product, with every factorization kept, reset
-    # to be found again or dropped (the GCDHEU path), and a carried
-    # factorization expands to den.  Denominators share or split z^3 - 1,
-    # (z^2 + z + 1)^2, z^5 - 1, powers of z and other binomials; c/(z + 2)
-    # and a factored den over z + 2 have no factorization, and e runs past
-    # MAX_SPLIT_DEGREE
+    # shift, difference and product, with every factorization as carried,
+    # found afresh from den or in the residual form (the GCDHEU path), and
+    # the factorization carried expands to den.  Denominators share or
+    # split z^3 - 1, (z^2 + z + 1)^2, z^5 - 1, powers of z and other
+    # binomials; c/(z + 2) and a factored den over z + 2 keep the residual
+    # z + 2, and e runs past MAX_SPLIT_DEGREE
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from downup.cyclotomic import _expand, difference_parts, times_difference
+    from downup.cyclotomic import difference_parts, times_difference
+    from downup.scalars import _expand
     contents = st.integers(-6, 6).filter(bool)
     nums = st.dictionaries(st.integers(0, 6), contents, min_size=1,
                            max_size=3)
@@ -432,13 +449,13 @@ def test_difference_kernel_matches_the_plain_form_property():
     @hypothesis.example(ZERO, cube, Z, 1)
     def check(s, m, n, e):
         want = s * (m.times_z(e) - n)
-        plain = [_without_factorization(v) for v in (s, m, n)]
-        found = [_with_factorization_reset(v) for v in (s, m, n)]
+        plain = [_residual_form(v) for v in (s, m, n)]
+        found = [Scalar(v.num, v.den) for v in (s, m, n)]
         for got in [plain[0] * (plain[1].times_z(e) - plain[2])] + [
                 times_difference(a, e, difference_parts(b, c))
                 for a, b, c in ((s, m, n), plain, found)]:
             assert (got.num, got.den) == (want.num, want.den)
-            assert type(got.fac) is not tuple or _expand(got.fac) == got.den
+            assert _expand(got.fac) == got.den
 
     check()
 
@@ -490,8 +507,7 @@ def test_division_by_a_cyclotomic_factor_undoes_the_product():
 
 def test_denominator_built_two_ways_is_one_scalar():
     # a binomial quotient and the same denominator typed in expanded:
-    # equal scalars, equal hashes and, once split, one factorization
-    from downup.cyclotomic import _settle
+    # equal scalars, equal hashes and one factorization
     for num, dens in (({0: 1}, [{1: 1, 0: -1}]),
                       ({3: 2, 0: 5}, [{4: 1, 0: -1}, {6: 1, 0: 1}]),
                       ({1: -1}, [{7: 2, 2: -2}, {3: 1, 0: -1}] * 2),
@@ -500,10 +516,10 @@ def test_denominator_built_two_ways_is_one_scalar():
         typed = {0: 1}
         for d in dens:
             built, typed = built / Scalar(d), _pmul(typed, d)
-        fac = _settle(built)
+        fac = built.fac
         for other in (Scalar(num, typed), parse_scalar(str(built))):
             assert other == built and hash(other) == hash(built)
-            assert _settle(other) == fac and fac[2]
+            assert other.fac == fac and fac[2]
 
 
 def test_z_shift_matches_the_product_property():
@@ -545,7 +561,8 @@ def test_integer_gcd_and_remainder_sequence_match_sympy():
     from sympy.polys.domains import ZZ
     from sympy.polys.rings import ring
 
-    from downup.scalars import _pmul, _primitive, _prs_gcd, _zgcd
+    from downup.cyclotomic import _primitive, _prs_gcd
+    from downup.scalars import _pmul, _zgcd
     R, _ = ring("z", ZZ)
     rng = random.Random(11)
 
@@ -583,7 +600,8 @@ def test_dense_gcd_from_its_first_value(f, g, gcd, first):
     # the first GCDHEU value (z-order removed, contents kept) is the integer
     # gcd of f and g at xi = 2^k; each of these reads back as a constant,
     # which ends the gcd there
-    from downup.scalars import _heu_bits, _heu_value, _pmul, _zgcd
+    from downup.cyclotomic import _heu_bits, _heu_value
+    from downup.scalars import _pmul, _zgcd
     k = _heu_bits(f, g)
     assert math.gcd(_heu_value(f, k, min(f)), _heu_value(g, k, min(g))) \
         == first
@@ -645,11 +663,12 @@ def test_remainder_sequence_after_six_missed_values(monkeypatch):
     # when no GCDHEU candidate divides, the remainder sequence on the
     # primitive parts gives the gcd, and the contents and the z-order
     # still come back: 6z^2(z+1)(z-2) and -4z(z+1)(z+3)
+    import downup.cyclotomic as cyclotomic
     import downup.scalars as scalars
     f, g = {4: 6, 3: -6, 2: -12}, {3: -4, 2: -16, 1: -12}
     want = ({2: 2, 1: 2}, {2: 3, 1: -6}, {1: -2, 0: -6})
     assert scalars._zgcd(f, g) == want
-    misses, zdivmod = [], scalars._zdivmod
+    misses, zdivmod = [], cyclotomic._zdivmod
 
     def missing(a, b):
         if len(misses) < 6:
@@ -657,7 +676,7 @@ def test_remainder_sequence_after_six_missed_values(monkeypatch):
             return None
         return zdivmod(a, b)
 
-    monkeypatch.setattr(scalars, "_zdivmod", missing)
+    monkeypatch.setattr(cyclotomic, "_zdivmod", missing)
     assert scalars._zgcd(f, g) == want and len(misses) == 6
 
 
@@ -665,9 +684,10 @@ def test_coprime_dense_pair_ends_at_its_first_value(monkeypatch):
     # a coprime dense pair ends at GCDHEU's first value: each xi is
     # evaluated once per map, no candidate is divided, and the maps come
     # back shared when neither has a z factor
+    import downup.cyclotomic as cyclotomic
     import downup.scalars as scalars
     values, divisions = [], []
-    heu_value, zdivmod = scalars._heu_value, scalars._zdivmod
+    heu_value, zdivmod = cyclotomic._heu_value, cyclotomic._zdivmod
 
     def counting_value(p, k, shift):
         values.append(k)
@@ -677,8 +697,8 @@ def test_coprime_dense_pair_ends_at_its_first_value(monkeypatch):
         divisions.append(b)
         return zdivmod(a, b)
 
-    monkeypatch.setattr(scalars, "_heu_value", counting_value)
-    monkeypatch.setattr(scalars, "_zdivmod", counting_divmod)
+    monkeypatch.setattr(cyclotomic, "_heu_value", counting_value)
+    monkeypatch.setattr(cyclotomic, "_zdivmod", counting_divmod)
     f, g = {2: 3, 1: -1, 0: 5}, {3: 1, 0: -7}
     h, cf, cg = scalars._zgcd(f, g)
     assert h == {0: 1} and cf is f and cg is g
@@ -772,6 +792,9 @@ def test_powers():
     s = Scalar({1: 1, 0: 1})
     assert s ** 2 == s * s
     assert (s ** -1) * s == ONE
+    # by squaring, for a Scalar and a BiPoly alike: about 60 products
+    assert Z ** 10 ** 9 == Scalar.z_power(10 ** 9)
+    assert BiPoly.var_h() ** 10 ** 9 == BiPoly.var_h(10 ** 9)
 
 
 def test_text_round_trip():
