@@ -8,8 +8,6 @@ status is 0 only when every requested check passed.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -239,6 +237,8 @@ def cmd_verify(args, options):
 
 
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="downup",
         description="Exact computations in a generalized down-up algebra "
@@ -303,6 +303,8 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if options.get("format") == "structured":
+        import json
+
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for line in lines:

@@ -22,7 +22,11 @@ gives its value on each component in closed form,
 C_n from c0 alone, M_{w,n} v_{w+n} = q_w v_w sigma_mu(v_n) and
 N_{w,n} v_{w+n} = v_n q_w v_w; the test
 suites confirm the answer is factorization-independent for every
-constructed derivation.
+constructed derivation.  A term c h^i k^j of p adds c (z^e M - N), e the
+phi-exponent w (n1 i + d j), and as D is linear the derivation keeps C_n
+and the parts of M_{w,n}, N_{w,n} per word weight, and beside them each
+reduced z^e M - N per (w, n, key, e) met, never per monomial or
+coefficient.
 """
 
 from __future__ import annotations
@@ -172,7 +176,8 @@ class Derivation:
         self._weights = sorted(set(weights))
         self.c0, self.b = c0, b
         # apply_derivation's C_n under n and the parts of its twist
-        # factors M_{w,n}, N_{w,n} under (w, n)
+        # factors M_{w,n}, N_{w,n} under (w, n), each key's beside the
+        # reduced z^e M - N kept by e
         self.memo = {0: BiPoly()}
 
     def weights(self):
@@ -292,14 +297,15 @@ def _twisted_parts(algebra, deriv, w, n):
     """The weight w + n part of D(p v_n) is phi^w(p) M_{w,n} - p N_{w,n},
     for (q_w v_w) sigma_mu(v_n) = M_{w,n} v_{w+n} and v_n q_w v_w =
     N_{w,n} v_{w+n}; key by key, the parts cyclotomic.difference_parts
-    takes of the two coefficients there, kept."""
+    takes of the two coefficients there, kept with a store of the reduced
+    z^e M - N under each phi-exponent e met."""
     memo, key = deriv.memo, (w, n)
     if key not in memo:
         b_w, v_n = GwaElement._raw({w: deriv.b.terms[w]}), basis_word(n)
         m, q = (gwa_mul(algebra, *pair).terms.get(w + n, BiPoly()).terms
                 for pair in ((b_w, apply_sigma_mu(algebra, v_n)), (v_n, b_w)))
         parts = _cyclotomic().difference_parts
-        memo[key] = [(k, parts(m.get(k, ZERO), q.get(k, ZERO)))
+        memo[key] = [(k, parts(m.get(k, ZERO), q.get(k, ZERO)), {})
                      for k in {**m, **q}]
     return memo[key]
 
@@ -310,8 +316,9 @@ def apply_derivation(algebra, deriv, u):
     which is D(p) sigma_mu(v_n) + p D(v_n) with the c-type part killing p,
     D(p) = sum_w q_w (phi^w(p) - p) v_w and D(v_n) = C_n v_n + b sigma_mu(v_n)
     - v_n b.  A term c h^i k^j of p contributes c (z^e M - N) at each key,
-    e = w (n1 i + d j), through cyclotomic.times_difference; C_n and the
-    parts of each (M_{w,n}, N_{w,n}) are kept on the derivation."""
+    e = w (n1 i + d j), through cyclotomic.times_difference; C_n, the
+    parts of each (M_{w,n}, N_{w,n}) and each z^e M - N met are kept on
+    the derivation, as D is linear: terms that share e share the last."""
     if algebra.spec != deriv.spec:
         raise DerivationError("derivation and algebra parameters differ")
     if deriv.g is not None and deriv.g != algebra.g:
@@ -323,8 +330,8 @@ def apply_derivation(algebra, deriv, u):
             parts, terms = _twisted_parts(algebra, deriv, w, n), {}
             for (i, j), c in p.terms.items():
                 e = phi_exponent(algebra.spec, i, j, w)
-                for (x, y), v in parts:
-                    _accumulate(terms, (i + x, j + y), times(c, e, v))
+                for (x, y), v, kept in parts:
+                    _accumulate(terms, (i + x, j + y), times(c, e, v, kept))
             _accumulate(out, w + n, BiPoly._raw(terms))
         if n not in deriv.memo:
             deriv.memo[n] = _c_type_factor(algebra.spec, deriv.c0, n)

@@ -89,6 +89,22 @@ def test_cli_import_loads_every_traced_layer():
         loaded_by("import downup.cli")
 
 
+def test_cli_import_defers_argparse_and_json():
+    # argparse loads only in build_parser and json only for structured
+    # output, so a bare import of downup.cli loads neither; it still loads
+    # each layer bench/tracer.py wraps
+    tree = ast.parse(TRACER.read_text())
+    functions = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and node.targets[0].id == "_FUNCTIONS")
+    probe = "import sys, downup.cli\nprint(*sys.modules)"
+    loaded = set(subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True,
+                                check=True).stdout.split())
+    assert not {"argparse", "json"} & loaded
+    assert {"downup." + module for module, _, _ in functions} <= loaded
+
+
 def test_runtime_is_stdlib_only():
     sources = sorted(Path(downup.__file__).parent.glob("*.py"))
     assert sources

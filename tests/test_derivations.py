@@ -13,6 +13,7 @@ from downup import (AlphaSpec, BiPoly, CTypeSpec, Derivation, DerivationError,
                     coupled_alpha_spec, from_poly, gwa_mul, index_sets_from_b,
                     parse_derivation_spec, solve_inner, twisted_commutator,
                     validate_param_spec)
+from downup.bipoly import phi_exponent
 from downup.sampling import random_bipoly, random_derivations, random_element
 
 from support import (enumerate_indices, inner_system_solvable, leibniz_holds,
@@ -549,10 +550,111 @@ def test_closed_form_matches_the_twisted_commutator_property():
     check()
 
 
+def test_kept_path_matches_fill_fresh_and_definition_property():
+    # apply_derivation keeps each reduced z^e M - N under its phi-exponent
+    # e, so a second pass over an element reads them back.  The kept path
+    # equals the call that filled the store, the same data built afresh and
+    # the definition, the c-type part plus twisted_commutator, for every
+    # kind of derivation at the three points of the leibniz workload.  Each
+    # component pairs two monomials of one phi-exponent, such as h and k^3
+    # at (1,3,2), over cyclotomic and non-cyclotomic denominators
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-3, max_value=3,
+                             max_denominator=3).filter(bool)
+    scalars = st.one_of(rationals, st.builds(
+        lambda c, e: Scalar.z_power(e) * c + 1, rationals, st.integers(-2, 2)),
+        st.builds(lambda c: c / Scalar({3: 1, 0: -1}), rationals),
+        st.builds(lambda c: c / Scalar({1: 1, 0: 2}), rationals))
+    algebras = [std_algebra(std_spec(1, 3, 2), (0, 1)),
+                std_algebra(std_spec(2, 3, 5), (0, 1)),
+                std_algebra(std_spec(1, -2, 3), (1, 0, 1))]
+
+    @st.composite
+    def twins(draw, spec):
+        # n1 (i + d) + d j = n1 i + d (j + n1): (i + d, j) and (i, j + n1),
+        # or (i, j) and (i + d, j - n1) when n1 < 0
+        i, j, d, n1 = draw(st.integers(0, 1)), draw(st.integers(0, 1)), \
+            spec.d, spec.n1
+        keys = [(i + d, j), (i, j + n1)] if n1 > 0 else [(i, j),
+                                                         (i + d, j - n1)]
+        return BiPoly({key: draw(scalars) for key in keys})
+
+    def elements(spec):
+        return st.dictionaries(st.integers(-2, 2), twins(spec), min_size=1,
+                               max_size=2).map(GwaElement)
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(algebras),
+                      st.sampled_from(["c-type", "alpha", "combined"]),
+                      st.data())
+    def check(A, kind, data):
+        spec = A.spec
+        c0 = data.draw(twins(spec))
+        options = [i for i in index_sets_from_b(spec.b1, spec.b2)[0]
+                   .members_up_to(4) if i >= 1]
+        w = data.draw(st.sampled_from([1, -1, 2, -2]))
+        values = {data.draw(st.sampled_from(options)): data.draw(scalars)}
+        c1, c2 = data.draw(scalars), data.draw(scalars)
+
+        def build():
+            c_type = build_c_derivation(spec, CTypeSpec(c0))
+            if kind == "c-type":
+                return c_type
+            alpha = build_alpha_derivation(
+                spec, A.g, coupled_alpha_spec(spec, w, values))
+            return alpha if kind == "alpha" else combine(
+                [(c1, c_type), (c2, alpha)])
+
+        D, u, v = build(), data.draw(elements(spec)), data.draw(elements(spec))
+        apply_derivation(A, D, v)
+        first = apply_derivation(A, D, u)
+        assert apply_derivation(A, D, u) == first == apply_derivation(
+            A, build(), u) == apply_derivation(
+            A, build_c_derivation(spec, CTypeSpec(D.c0)), u) \
+            + twisted_commutator(A, D.b, u)
+
+    check()
+
+
+def test_kept_differences_are_one_per_exponent_met():
+    # beside the parts of each key at (w, n) the derivation keeps one
+    # reduced z^e M - N per phi-exponent e met, however many monomials
+    # share e (h and k^3 here) and whatever their coefficients: a second
+    # pass with other coefficients adds none
+    A = std_algebra()
+    D = combine([
+        (1, build_c_derivation(A.spec, CTypeSpec(H * K + 1))),
+        (2, build_alpha_derivation(A.spec, A.g,
+                                   coupled_alpha_spec(A.spec, 1, {1: 1}))),
+        (3, build_alpha_derivation(A.spec, A.g,
+                                   coupled_alpha_spec(A.spec, -2, {1: 1})))])
+    weights, monomials = range(-3, 4), [(i, j) for i in range(3)
+                                        for j in range(4)]
+
+    def stored():
+        return [(*key, k, e) for key, entries in D.memo.items()
+                if isinstance(key, tuple) for k, _, kept in entries
+                for e in kept]
+
+    for c in (Scalar.z_power(1) + 1, Scalar({0: 2}, {2: 1, 0: -1})):
+        for n in weights:
+            for i, j in monomials:
+                apply_derivation(A, D, GwaElement({n: BiPoly({(i, j): c})}))
+        met = {(w, n, k, phi_exponent(A.spec, i, j, w))
+               for w in D.b.terms for n in weights
+               for k, _, _ in D.memo[w, n] for i, j in monomials}
+        assert sorted(stored()) == sorted(met)
+    assert len(met) < len(monomials) * sum(
+        len(D.memo[w, n]) for w in D.b.terms for n in weights)
+
+
 def test_memo_is_kept_per_word_weight_not_per_monomial():
-    # D(v_n) and each M_{w,n} are kept once: after words at the weights N
-    # the memo holds at most 1 + |N| (|weights(b)| + 1) entries, however
-    # many monomials were applied
+    # C_n and the parts of each (M_{w,n}, N_{w,n}) are kept under their
+    # word weights: after words at the weights N the memo holds at most
+    # 1 + |N| (|weights(b)| + 1) word-weight entries, however many
+    # monomials were applied; the differences kept beside the parts are
+    # bounded per exponent by test_kept_differences_are_one_per_exponent_met
     A = std_algebra()
     D = combine([
         (1, build_c_derivation(A.spec, CTypeSpec(H * K + 1))),

@@ -410,8 +410,9 @@ def test_carried_factorization_property():
 
 
 def test_difference_kernel_matches_the_plain_form_property():
-    # cyclotomic.times_difference(s, e, difference_parts(m, n)) is
-    # s*(z^e*m - n) with one reduction: the same stored maps as the plain
+    # cyclotomic.times_difference(s, e, difference_parts(m, n), kept) is
+    # s*(z^e*m - n) with one reduction, on an empty store kept and again on
+    # the one the first call filled: the same stored maps as the plain
     # shift, difference and product, with every factorization as carried,
     # found afresh from den or in the residual form (the GCDHEU path), and
     # the factorization carried expands to den.  Denominators share or
@@ -451,9 +452,11 @@ def test_difference_kernel_matches_the_plain_form_property():
         want = s * (m.times_z(e) - n)
         plain = [_residual_form(v) for v in (s, m, n)]
         found = [Scalar(v.num, v.den) for v in (s, m, n)]
-        for got in [plain[0] * (plain[1].times_z(e) - plain[2])] + [
-                times_difference(a, e, difference_parts(b, c))
-                for a, b, c in ((s, m, n), plain, found)]:
+        results = [plain[0] * (plain[1].times_z(e) - plain[2])]
+        for a, b, c in ((s, m, n), plain, found):
+            parts, kept = difference_parts(b, c), {}
+            results += [times_difference(a, e, parts, kept) for _ in range(2)]
+        for got in results:
             assert (got.num, got.den) == (want.num, want.den)
             assert _expand(got.fac) == got.den
 
@@ -466,7 +469,8 @@ def test_difference_kernel_checks_the_degree_a_gcd_would(monkeypatch):
     # would take, as the product by phi^w(p) - p that the fused form
     # replaces did; the fused numerator meets a dense den of s in a cut,
     # which checks its span.  A dense den of n alone, or one-term dens, are
-    # not checked
+    # not checked.  The check comes ahead of the kept difference: each case
+    # runs on an empty store, then on one filled at the usual cap
     from downup import scalars
     from downup.cyclotomic import difference_parts, times_difference
     n3, phi3 = Scalar({3: 1, 0: 1}), Scalar({2: 1, 1: 1, 0: 1})
@@ -478,16 +482,23 @@ def test_difference_kernel_checks_the_degree_a_gcd_would(monkeypatch):
         (n3, term, ONE / phi3, 40), (n3, term, Scalar({0: 1}, {2: 1}), 40)]
     # the plain form, at the usual cap, as the reference
     want = [s * (m.times_z(e) - n) for s, m, n, e in passed]
+    wide = (ONE, 1, ONE / Scalar({12: 1, 0: -1}), ONE)
+    filled = []
+    for s, e, m, n in [(s, e, m, n) for s, m, n in refused
+                       for e in (9, -9)] + [wide]:
+        parts, kept = difference_parts(m, n), {}
+        times_difference(s, e, parts, kept)
+        assert list(kept) == [e]
+        filled.append((s, e, parts, kept))
     monkeypatch.setattr(scalars, "MAX_GCD_DEGREE", 10)
-    for s, m, n in refused:
-        for e in (9, -9):
+    for s, e, parts, kept in filled:
+        for store in ({}, kept):
             with pytest.raises(ValueError, match="degree 12 is past the"):
-                times_difference(s, e, difference_parts(m, n))
-    with pytest.raises(ValueError, match="degree 12 is past the"):
-        times_difference(ONE, 1, difference_parts(
-            ONE / Scalar({12: 1, 0: -1}), ONE))
-    assert [times_difference(s, e, difference_parts(m, n))
-            for s, m, n, e in passed] == want
+                times_difference(s, e, parts, store)
+    parts = [(difference_parts(m, n), {}) for s, m, n, e in passed]
+    for _ in range(2):
+        assert [times_difference(s, e, *pair) for (s, m, n, e), pair
+                in zip(passed, parts)] == want
 
 
 def test_division_by_a_cyclotomic_factor_undoes_the_product():
