@@ -17,11 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
-from .scalars import (ZERO, _P_ONE, _accumulate, _by_term, _cancel,
-                      _check_degree, _expand, _fmul, _made, _new, _padd,
-                      _pmul, _pow, _shifted, _vec)
+from .scalars import _P_ONE, _accumulate, _pmul, _pow
 
 
 def _primitive(p, shift=0):
@@ -204,66 +201,3 @@ def _cut(f, ms):
             f, e = _over_phi(f, m), e - 1
         out += [(m, e)] * (e > 0)
     return f, tuple(out)
-
-
-def difference_parts(m, n):
-    # z^e*m - n for every e, as difference takes it: for m = a/(z^t*g*b1)
-    # and n = c/(z^u*g*d1), g the gcd of the z-free dens, the maps a*d1 and
-    # -c*b1, t, u, g and b1*d1 as factorizations, and the span of m's den;
-    # (m, n) when either is zero or its den keeps a residual
-    x, y = m.fac, n.fac
-    if not (m and n and x[3] == y[3] == _P_ONE):
-        return m, n
-    g = math.gcd(x[0], y[0]), 0, _vec(min, x[2], y[2]), _P_ONE
-    b, d = ((v[0] // g[0], 0, _vec(operator.sub, v[2], g[2]), _P_ONE)
-            for v in (x, y))
-    return (_pmul(m.num, _expand(d)), {e: -v for e, v in _pmul(
-        n.num, _expand(b)).items()}, x[1], y[1], g, _fmul(b, d),
-        max(m.den) - min(m.den))
-
-
-@functools.lru_cache(maxsize=4096)
-def _interned(c, t, ms):
-    # the map and the factorization of the denominator c*z^t*prod Phi_m^e,
-    # shared by every kept difference over it
-    fac = c, t, ms, _P_ONE
-    return _expand(fac), fac
-
-
-def difference(e, parts):
-    # z^e*m - n from difference_parts(m, n), reduced.  By Henrici the sum
-    # z^(e-t+k)*a*d1 - z^(k-u)*c*b1 over z^k*g*b1*d1, k = max(t - e, u), can
-    # cancel only against z^k*g; (m, n) take the plain form
-    if len(parts) == 2:
-        return parts[0].times_z(e) - parts[1]
-    ad, cb, t, u, g, bd, _ = parts
-    k = max(t - e, u)
-    f = _padd(_shifted(ad, e - t + k), _shifted(cb, k - u))
-    if not f:
-        return ZERO
-    f, g = _cancel(f, (g[0], k, *g[2:]), None)
-    return _new(f, *_interned(*_fmul(g, bd)[:3]))
-
-
-def times_difference(s, e, parts, kept):
-    # s*(z^e*m - n) from difference_parts(m, n), with kept[e] the reduced
-    # difference, found on the first call for e, as it never depends on s.
-    # It meets a one-term s by _by_term, another by the two cuts of a
-    # product.  Ahead of the lookup, s's num times z^e is checked against
-    # the dense dens of s and m, the spans a gcd of s's num times z^e - 1
-    # with either would take
-    a, b = s.num, s.den
-    if not a:
-        return ZERO
-    plain = len(parts) == 2
-    if not plain and (parts[6] or len(b) > 1):
-        _check_degree(max(a) - min(a) + abs(e), max(b) - min(b), parts[6])
-    v = kept.get(e)
-    if v is None:
-        v = kept[e] = difference(e, parts)
-    if plain or not v:
-        return s * v
-    if len(a) == len(b) == 1:
-        return _by_term(v, a, b)
-    (a, y), (f, x) = _cancel(a, v.fac, None), _cancel(v.num, s.fac, b)
-    return _made(_pmul(a, f), _fmul(x, y))

@@ -24,13 +24,14 @@ N_{w,n} v_{w+n} = v_n q_w v_w; the test
 suites confirm the answer is factorization-independent for every
 constructed derivation.  A term c h^i k^j of p adds c (z^e M - N), e the
 phi-exponent w (n1 i + d j), and as D is linear the derivation keeps C_n
-and the parts of M_{w,n}, N_{w,n} per word weight, and beside them each
-reduced z^e M - N per (w, n, key, e) met, never per monomial or
-coefficient.
+and the coefficients of M_{w,n}, N_{w,n} per word weight, and beside them
+each reduced z^e M - N per (w, n, key, e) met, never per monomial or
+coefficient; a term then costs one product by the kept difference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import namedtuple
@@ -38,7 +39,8 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, diff_h, exact_divide_by_a, phi_exponent
 from .gwa import GwaElement, apply_sigma_mu, basis_word, gwa_mul
-from .scalars import ONE, ZERO, Scalar, _accumulate, _cyclotomic, _to_scalar
+from .scalars import (ONE, ZERO, Scalar, _P_ONE, _accumulate, _check_degree,
+                      _expand, _new, _to_scalar)
 
 
 class DerivationError(ValueError):
@@ -175,9 +177,9 @@ class Derivation:
         self.g = g
         self._weights = sorted(set(weights))
         self.c0, self.b = c0, b
-        # apply_derivation's C_n under n and the parts of its twist
-        # factors M_{w,n}, N_{w,n} under (w, n), each key's beside the
-        # reduced z^e M - N kept by e
+        # apply_derivation's C_n under n and, under (w, n), the two
+        # coefficients of its twist factors M_{w,n}, N_{w,n} at each key,
+        # beside the reduced z^e M - N kept by e
         self.memo = {0: BiPoly()}
 
     def weights(self):
@@ -296,18 +298,46 @@ def _c_type_factor(spec, c0, n):
 def _twisted_parts(algebra, deriv, w, n):
     """The weight w + n part of D(p v_n) is phi^w(p) M_{w,n} - p N_{w,n},
     for (q_w v_w) sigma_mu(v_n) = M_{w,n} v_{w+n} and v_n q_w v_w =
-    N_{w,n} v_{w+n}; key by key, the parts cyclotomic.difference_parts
-    takes of the two coefficients there, kept with a store of the reduced
-    z^e M - N under each phi-exponent e met."""
+    N_{w,n} v_{w+n}; key by key, the two coefficients (M, N) there, kept
+    with a store of the reduced z^e M - N under each phi-exponent e met."""
     memo, key = deriv.memo, (w, n)
     if key not in memo:
         b_w, v_n = GwaElement._raw({w: deriv.b.terms[w]}), basis_word(n)
         m, q = (gwa_mul(algebra, *pair).terms.get(w + n, BiPoly()).terms
                 for pair in ((b_w, apply_sigma_mu(algebra, v_n)), (v_n, b_w)))
-        parts = _cyclotomic().difference_parts
-        memo[key] = [(k, parts(m.get(k, ZERO), q.get(k, ZERO)), {})
+        memo[key] = [(k, (m.get(k, ZERO), q.get(k, ZERO)), {})
                      for k in {**m, **q}]
     return memo[key]
+
+
+@functools.lru_cache(maxsize=4096)
+def _interned(c, t, ms):
+    # the map and the factorization of the denominator c*z^t*prod Phi_m^e,
+    # shared by every kept difference over it
+    fac = c, t, ms, _P_ONE
+    return _expand(fac), fac
+
+
+def _times_twist(c, e, pair, kept):
+    """c (z^e M - N) for the parts pair = (M, N) of one key, with kept[e]
+    the reduced z^e M - N, found on the first call for e as it never
+    depends on c.  When both parts are nonzero over split denominators,
+    c's numerator times z^e is checked ahead of the store against the
+    dense denominators of c and M, the spans a gcd of c's numerator times
+    z^e - 1 with either would take."""
+    m, n = pair
+    a, b = c.num, c.den
+    if a and m.num and n.num and m.fac[3] == n.fac[3] == _P_ONE and (
+            len(m.den) > 1 or len(b) > 1):
+        _check_degree(max(a) - min(a) + abs(e), max(b) - min(b),
+                      max(m.den) - min(m.den))
+    v = kept.get(e)
+    if v is None:
+        v = m.times_z(e) - n
+        if v.fac[3] == _P_ONE:
+            v = _new(v.num, *_interned(*v.fac[:3]))
+        kept[e] = v
+    return c * v
 
 
 def apply_derivation(algebra, deriv, u):
@@ -316,22 +346,23 @@ def apply_derivation(algebra, deriv, u):
     which is D(p) sigma_mu(v_n) + p D(v_n) with the c-type part killing p,
     D(p) = sum_w q_w (phi^w(p) - p) v_w and D(v_n) = C_n v_n + b sigma_mu(v_n)
     - v_n b.  A term c h^i k^j of p contributes c (z^e M - N) at each key,
-    e = w (n1 i + d j), through cyclotomic.times_difference; C_n, the
-    parts of each (M_{w,n}, N_{w,n}) and each z^e M - N met are kept on
-    the derivation, as D is linear: terms that share e share the last."""
+    e = w (n1 i + d j), by _times_twist; C_n, the two coefficients of each
+    (M_{w,n}, N_{w,n}) and each z^e M - N met are kept on the derivation,
+    as D is linear: terms that share e share the last."""
     if algebra.spec != deriv.spec:
         raise DerivationError("derivation and algebra parameters differ")
     if deriv.g is not None and deriv.g != algebra.g:
         raise DerivationError(
             "derivation was built over a different conformal polynomial")
-    out, times = {}, deriv.b.terms and _cyclotomic().times_difference
+    out = {}
     for n, p in u.terms.items():
         for w in deriv.b.terms:
             parts, terms = _twisted_parts(algebra, deriv, w, n), {}
             for (i, j), c in p.terms.items():
                 e = phi_exponent(algebra.spec, i, j, w)
-                for (x, y), v, kept in parts:
-                    _accumulate(terms, (i + x, j + y), times(c, e, v, kept))
+                for (x, y), pair, kept in parts:
+                    _accumulate(terms, (i + x, j + y),
+                                _times_twist(c, e, pair, kept))
             _accumulate(out, w + n, BiPoly._raw(terms))
         if n not in deriv.memo:
             deriv.memo[n] = _c_type_factor(algebra.spec, deriv.c0, n)

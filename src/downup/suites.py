@@ -276,12 +276,12 @@ SUITES = {
 
 
 def run_suites(names, ctx):
+    """The named suites' results, "all" alone naming every suite; each
+    name is checked before any suite runs."""
     if names == ["all"]:
         names = list(SUITES)
-    results = []
     for name in names:
         if name not in SUITES:
             raise ValueError("unknown suite %r (have: %s)"
                              % (name, ", ".join(sorted(SUITES))))
-        results.append(SUITES[name](ctx))
-    return results
+    return [SUITES[name](ctx) for name in names]

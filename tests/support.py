@@ -1,5 +1,9 @@
 """Shared helpers: independent oracles the tests check the library against."""
 
+import copy
+import math
+import operator
+
 from downup import (ZERO, BiPoly, DownUpPresentation, Scalar, gwa_algebra,
                     validate_param_spec)
 # the brute-force index enumerator and the Leibniz identity live with the
@@ -19,6 +23,36 @@ def double_loop_product(a, b, add):
             k = add(i, j)
             out[k] = out[k] + x * y if k in out else x * y
     return {k: v for k, v in out.items() if v}
+
+
+def binomial_quotients(st):
+    """A hypothesis strategy: a numerator times binomials z^(n + t) -/+ z^t
+    over others, so that numerators and denominators share repeated
+    cyclotomic factors."""
+    def quotient(num, above, below):
+        out = Scalar(num)
+        for binomials, op in ((above, operator.mul),
+                              (below, operator.truediv)):
+            for n, t, c, sign in binomials:
+                out = op(out, Scalar({n + t: c, t: sign * c}))
+        return out
+
+    binomial = st.tuples(st.integers(1, 6), st.integers(0, 2),
+                         st.sampled_from([1, 2, -3]), st.sampled_from([1, -1]))
+    binomials = st.lists(binomial, max_size=3)
+    nums = st.dictionaries(st.integers(0, 8), st.integers(-4, 4).filter(bool),
+                           min_size=1, max_size=4)
+    return st.builds(quotient, nums, binomials, binomials)
+
+
+def residual_form(s):
+    """The same stored maps with the denominator kept as c*z^t*R, R its
+    whole primitive z-free part, so that every gcd with it takes the
+    GCDHEU path."""
+    plain, d = copy.copy(s), s.den
+    t, c = min(d), math.gcd(*d.values())
+    plain.fac = c, t, (), {e - t: v // c for e, v in d.items()}
+    return plain
 
 
 def std_spec(d=1, n1=3, n2=2):

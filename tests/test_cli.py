@@ -427,9 +427,11 @@ def test_verify_with_parameters(capsys):
 
 
 def test_verify_requires_parameters_when_needed(capsys):
-    code, out, err = run(capsys, "verify", "phi")
-    assert code == 2
-    assert "missing parameters" in err
+    # "all" beside another suite is refused only once the point is given
+    for suites in (["phi"], ["all", "field"]):
+        code, out, err = run(capsys, "verify", *suites)
+        assert code == 2
+        assert "missing parameters" in err
 
 
 def test_config_file(tmp_path, capsys):
@@ -491,9 +493,14 @@ def test_error_reporting(capsys):
                          "--f", "0,1", "mul", "x*(", "1")
     assert code == 2 and "position" in err
 
-    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
-                         "verify", "units")
-    assert code == 2 and "unknown suite" in err
+    # an unknown suite is named whether or not a point is given, and
+    # before any suite runs
+    have = ("assoc, conformal, field, indices, leibniz, oracle, params, phi, "
+            "relations, roundtrip, sigma")
+    for point in ([], ["--d", "1", "--n1", "3", "--n2", "2"]):
+        for suites in (["units"], ["phi", "units"]):
+            assert run(capsys, *point, "verify", *suites) == (
+                2, "", "error: unknown suite 'units' (have: %s)\n" % have)
 
 
 @pytest.mark.parametrize("argv", [

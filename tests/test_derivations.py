@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 import time
@@ -5,23 +6,28 @@ from fractions import Fraction
 
 import pytest
 
-from downup import (AlphaSpec, BiPoly, CTypeSpec, Derivation, DerivationError,
-                    GwaAlgebra, GwaElement, IndexSet, NonInnerWitness, Scalar,
-                    apply_derivation, apply_phi_power, apply_sigma_mu,
-                    basis_word, build_alpha_derivation, build_c_derivation,
+from downup import (ZERO, AlphaSpec, BiPoly, CTypeSpec, Derivation,
+                    DerivationError, GwaAlgebra, GwaElement, IndexSet,
+                    NonInnerWitness, Scalar, apply_derivation,
+                    apply_phi_power, apply_sigma_mu, basis_word,
+                    build_alpha_derivation, build_c_derivation,
                     check_weight0_alpha_condition, combine,
                     coupled_alpha_spec, from_poly, gwa_mul, index_sets_from_b,
                     parse_derivation_spec, solve_inner, twisted_commutator,
                     validate_param_spec)
 from downup.bipoly import phi_exponent
+from downup.derivations import _times_twist
 from downup.sampling import random_bipoly, random_derivations, random_element
+from downup.scalars import _expand, _pmul
 
-from support import (enumerate_indices, inner_system_solvable, leibniz_holds,
+from support import (binomial_quotients, enumerate_indices,
+                     inner_system_solvable, leibniz_holds, residual_form,
                      std_algebra, std_spec)
 
 H = BiPoly.var_h()
 K = BiPoly.var_k()
 ONE = Scalar.from_rational(1)
+Z = Scalar.z_power(1)
 
 
 # -- index sets ---------------------------------------------------------------
@@ -507,7 +513,8 @@ def test_closed_form_matches_the_twisted_commutator_property():
     rationals = st.fractions(min_value=-3, max_value=3,
                              max_denominator=3).filter(bool)
     # over a cyclotomic denominator and a non-cyclotomic one, so that the
-    # closed form takes both paths of cyclotomic.times_difference
+    # closed form meets twist coefficients over split dens and over dens
+    # that keep a residual
     scalars = st.one_of(rationals, st.builds(
         lambda c, e: Scalar.z_power(e) * c + 1, rationals, st.integers(-2, 2)),
         st.builds(lambda c: c / Scalar({3: 1, 0: -1}), rationals),
@@ -674,6 +681,99 @@ def test_memo_is_kept_per_word_weight_not_per_monomial():
                         {n: BiPoly({(i, j): Scalar.z_power(i - j) + 1})}))
         sizes.append(len(D.memo))
     assert sizes[0] == sizes[1] <= bound
+
+
+def test_twist_term_matches_the_plain_form_property():
+    # derivations._times_twist(s, e, (m, n), kept) is s*(z^e*m - n) with
+    # one reduction, on an empty store kept and again on the one the first
+    # call filled: the same stored maps as the plain shift, difference and
+    # product, with every factorization as carried, found afresh from den
+    # or in the residual form (the GCDHEU path), and the factorizations of
+    # the result and of the kept difference expand to their dens.
+    # Denominators share or split z^3 - 1, (z^2 + z + 1)^2, z^5 - 1, powers
+    # of z and other binomials; c/(z + 2) and a factored den over z + 2
+    # keep the residual z + 2, and e runs past MAX_SPLIT_DEGREE
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    contents = st.integers(-6, 6).filter(bool)
+    nums = st.dictionaries(st.integers(0, 6), contents, min_size=1,
+                           max_size=3)
+    factors = st.lists(st.sampled_from([
+        {3: 1, 0: -1}, {4: 1, 3: 2, 2: 3, 1: 2, 0: 1}, {5: 1, 0: -1}]),
+        max_size=2)
+    terms = st.builds(lambda e, c: {e: c}, st.integers(0, 5), contents)
+    scalars = st.one_of(
+        st.builds(lambda n, fs, t: Scalar(n, functools.reduce(
+            _pmul, fs, t)), nums, factors, terms),
+        binomial_quotients(st),
+        st.builds(lambda n: Scalar(n, {1: 1, 0: 2}), nums),
+        st.builds(lambda n: Scalar(n, {4: 3, 1: 3}) / Scalar({1: 1, 0: 2}),
+                  nums),
+        st.builds(Scalar, nums, terms), st.builds(Scalar, nums),
+        st.just(ZERO), st.just(ONE))
+    exponents = st.integers(1, 90).flatmap(lambda e: st.sampled_from([e, -e]))
+    cube = ONE / Scalar({3: 1, 0: -1})
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(scalars, scalars, scalars, exponents)
+    @hypothesis.example(ONE, cube, cube, 6)
+    @hypothesis.example(Scalar({0: 2}, {2: 1}), cube ** 2,
+                        Scalar({1: 1}, {5: 1, 0: -1}), -3)
+    @hypothesis.example(ZERO, cube, Z, 1)
+    def check(s, m, n, e):
+        want = s * (m.times_z(e) - n)
+        plain = [residual_form(v) for v in (s, m, n)]
+        found = [Scalar(v.num, v.den) for v in (s, m, n)]
+        results = [plain[0] * (plain[1].times_z(e) - plain[2])]
+        for a, b, c in ((s, m, n), plain, found):
+            kept = {}
+            results += [_times_twist(a, e, (b, c), kept) for _ in range(2)]
+            assert list(kept) == [e]
+            assert _expand(kept[e].fac) == kept[e].den
+        for got in results:
+            assert (got.num, got.den) == (want.num, want.den)
+            assert _expand(got.fac) == got.den
+
+    check()
+
+
+def test_twist_term_checks_the_degree_a_gcd_would(monkeypatch):
+    # s's numerator times z^e is checked against the dense denominators of
+    # s and m, the spans a gcd of s's numerator times z^e - 1 with either
+    # would take, as the product by phi^w(p) - p that the kept difference
+    # replaces did.  A dense den of n alone, or one-term dens, are not
+    # checked.  The check comes ahead of the kept difference: each case
+    # runs on an empty store, then on one filled at the usual cap
+    from downup import scalars
+    n3, phi3 = Scalar({3: 1, 0: 1}), Scalar({2: 1, 1: 1, 0: 1})
+    cube, term = ONE / Scalar({3: 1, 0: -1}), Scalar({1: 2}, {5: 3})
+    refused = [(n3, cube, cube), (n3, ONE / phi3, ONE),
+               (n3 / phi3, ONE, Scalar({0: 2}, {1: 3})),
+               (n3 / Scalar({1: 1, 0: 2}), Z, ONE)]
+    passed = [(s, m, n, e) for s, m, n in refused for e in (7, -7)] + [
+        (n3, term, ONE / phi3, 40), (n3, term, Scalar({0: 1}, {2: 1}), 40)]
+    # the plain form, at the usual cap, as the reference
+    want = [s * (m.times_z(e) - n) for s, m, n, e in passed]
+    wide = (ONE, 1, ONE / Scalar({12: 1, 0: -1}), ONE)
+    filled = []
+    for s, e, m, n in [(s, e, m, n) for s, m, n in refused
+                       for e in (9, -9)] + [wide]:
+        kept = {}
+        _times_twist(s, e, (m, n), kept)
+        assert list(kept) == [e]
+        filled.append((s, e, (m, n), kept))
+    monkeypatch.setattr(scalars, "MAX_GCD_DEGREE", 10)
+    for s, e, pair, kept in filled:
+        for store in ({}, kept):
+            with pytest.raises(ValueError, match="degree 12 is past the"):
+                _times_twist(s, e, pair, store)
+    stores = [{} for _ in passed]
+    for _ in range(2):
+        assert [_times_twist(s, e, (m, n), kept) for (s, m, n, e), kept
+                in zip(passed, stores)] == want
+    for kept in [kept for *_, kept in filled] + stores:
+        (v,) = kept.values()
+        assert _expand(v.fac) == v.den
 
 
 def test_derivation_metadata():

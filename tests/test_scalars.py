@@ -1,5 +1,3 @@
-import copy
-import functools
 import math
 import operator
 import random
@@ -13,7 +11,7 @@ from downup import (ONE, ZERO, BiPoly, ParameterError, ParamSpec, Scalar,
                     parse_scalar, validate_param_spec)
 from downup.sampling import random_scalar
 from downup.scalars import _pmul
-from support import double_loop_product
+from support import binomial_quotients, double_loop_product, residual_form
 
 Z = Scalar.z_power(1)
 
@@ -162,25 +160,6 @@ def test_one_term_map_product_matches_the_double_loop():
             assert (a, b) == before
 
 
-def _binomial_quotients(st):
-    # a numerator times binomials z^(n + t) -/+ z^t over others, so that
-    # numerators and denominators share repeated cyclotomic factors
-    def quotient(num, above, below):
-        out = Scalar(num)
-        for binomials, op in ((above, operator.mul),
-                              (below, operator.truediv)):
-            for n, t, c, sign in binomials:
-                out = op(out, Scalar({n + t: c, t: sign * c}))
-        return out
-
-    binomial = st.tuples(st.integers(1, 6), st.integers(0, 2),
-                         st.sampled_from([1, 2, -3]), st.sampled_from([1, -1]))
-    binomials = st.lists(binomial, max_size=3)
-    nums = st.dictionaries(st.integers(0, 8), st.integers(-4, 4).filter(bool),
-                           min_size=1, max_size=4)
-    return st.builds(quotient, nums, binomials, binomials)
-
-
 # sums and products where a residual R shares a Phi_m with the other
 # operand, so that a min of the two factorizations would miss it: the
 # Phi_1 inside (z - 1)*(z + 2), and the printed results
@@ -250,7 +229,7 @@ def test_arithmetic_matches_sympy_property():
 
     # denominators from binomials, split at birth, so that a one-term
     # product carries the factorization
-    factored = _binomial_quotients(st)
+    factored = binomial_quotients(st)
 
     def carried(s):
         # the factorization every scalar carries expands to den
@@ -354,15 +333,6 @@ def test_stored_form_property():
     check()
 
 
-def _residual_form(s):
-    # the same stored maps with the denominator kept as c*z^t*R, R its whole
-    # primitive z-free part, so that every gcd with it takes the GCDHEU path
-    plain, d = copy.copy(s), s.den
-    t, c = min(d), math.gcd(*d.values())
-    plain.fac = c, t, (), {e - t: v // c for e, v in d.items()}
-    return plain
-
-
 def test_carried_factorization_property():
     # a denominator built from binomials z^(n + t) -/+ z^t splits into
     # c*z^t*prod Phi_m^e at birth, which must expand to den, and every sum,
@@ -373,7 +343,7 @@ def test_carried_factorization_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from downup.scalars import _expand
-    scalars = _binomial_quotients(st)
+    scalars = binomial_quotients(st)
 
     def carried(s, splits):
         # the factorization set at birth expands to den; a denominator
@@ -389,7 +359,7 @@ def test_carried_factorization_property():
         for a, b in ((a, b), (b, a), (a, a)):
             for op in (operator.add, operator.sub, operator.mul):
                 got = carried(op(a, b), splits)
-                want = op(_residual_form(a), _residual_form(b))
+                want = op(residual_form(a), residual_form(b))
                 assert (got.num, got.den) == (want.num, want.den)
             if a:
                 carried(a.inverse(), False)
@@ -407,98 +377,6 @@ def test_carried_factorization_property():
         a, b = parse_scalar(a), parse_scalar(b)
         check([a, b], False)
         assert str(op(a, b)) == text
-
-
-def test_difference_kernel_matches_the_plain_form_property():
-    # cyclotomic.times_difference(s, e, difference_parts(m, n), kept) is
-    # s*(z^e*m - n) with one reduction, on an empty store kept and again on
-    # the one the first call filled: the same stored maps as the plain
-    # shift, difference and product, with every factorization as carried,
-    # found afresh from den or in the residual form (the GCDHEU path), and
-    # the factorization carried expands to den.  Denominators share or
-    # split z^3 - 1, (z^2 + z + 1)^2, z^5 - 1, powers of z and other
-    # binomials; c/(z + 2) and a factored den over z + 2 keep the residual
-    # z + 2, and e runs past MAX_SPLIT_DEGREE
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    from downup.cyclotomic import difference_parts, times_difference
-    from downup.scalars import _expand
-    contents = st.integers(-6, 6).filter(bool)
-    nums = st.dictionaries(st.integers(0, 6), contents, min_size=1,
-                           max_size=3)
-    factors = st.lists(st.sampled_from([
-        {3: 1, 0: -1}, {4: 1, 3: 2, 2: 3, 1: 2, 0: 1}, {5: 1, 0: -1}]),
-        max_size=2)
-    terms = st.builds(lambda e, c: {e: c}, st.integers(0, 5), contents)
-    scalars = st.one_of(
-        st.builds(lambda n, fs, t: Scalar(n, functools.reduce(
-            _pmul, fs, t)), nums, factors, terms),
-        _binomial_quotients(st),
-        st.builds(lambda n: Scalar(n, {1: 1, 0: 2}), nums),
-        st.builds(lambda n: Scalar(n, {4: 3, 1: 3}) / Scalar({1: 1, 0: 2}),
-                  nums),
-        st.builds(Scalar, nums, terms), st.builds(Scalar, nums),
-        st.just(ZERO), st.just(ONE))
-    exponents = st.integers(1, 90).flatmap(lambda e: st.sampled_from([e, -e]))
-    cube = ONE / Scalar({3: 1, 0: -1})
-
-    @hypothesis.settings(max_examples=300, deadline=None, database=None)
-    @hypothesis.given(scalars, scalars, scalars, exponents)
-    @hypothesis.example(ONE, cube, cube, 6)
-    @hypothesis.example(Scalar({0: 2}, {2: 1}), cube ** 2,
-                        Scalar({1: 1}, {5: 1, 0: -1}), -3)
-    @hypothesis.example(ZERO, cube, Z, 1)
-    def check(s, m, n, e):
-        want = s * (m.times_z(e) - n)
-        plain = [_residual_form(v) for v in (s, m, n)]
-        found = [Scalar(v.num, v.den) for v in (s, m, n)]
-        results = [plain[0] * (plain[1].times_z(e) - plain[2])]
-        for a, b, c in ((s, m, n), plain, found):
-            parts, kept = difference_parts(b, c), {}
-            results += [times_difference(a, e, parts, kept) for _ in range(2)]
-        for got in results:
-            assert (got.num, got.den) == (want.num, want.den)
-            assert _expand(got.fac) == got.den
-
-    check()
-
-
-def test_difference_kernel_checks_the_degree_a_gcd_would(monkeypatch):
-    # s's numerator times z^e is checked against the dense denominators of
-    # s and m, the spans a gcd of s's numerator times z^e - 1 with either
-    # would take, as the product by phi^w(p) - p that the fused form
-    # replaces did; the fused numerator meets a dense den of s in a cut,
-    # which checks its span.  A dense den of n alone, or one-term dens, are
-    # not checked.  The check comes ahead of the kept difference: each case
-    # runs on an empty store, then on one filled at the usual cap
-    from downup import scalars
-    from downup.cyclotomic import difference_parts, times_difference
-    n3, phi3 = Scalar({3: 1, 0: 1}), Scalar({2: 1, 1: 1, 0: 1})
-    cube, term = ONE / Scalar({3: 1, 0: -1}), Scalar({1: 2}, {5: 3})
-    refused = [(n3, cube, cube), (n3, ONE / phi3, ONE),
-               (n3 / phi3, ONE, Scalar({0: 2}, {1: 3})),
-               (n3 / Scalar({1: 1, 0: 2}), Z, ONE)]
-    passed = [(s, m, n, e) for s, m, n in refused for e in (7, -7)] + [
-        (n3, term, ONE / phi3, 40), (n3, term, Scalar({0: 1}, {2: 1}), 40)]
-    # the plain form, at the usual cap, as the reference
-    want = [s * (m.times_z(e) - n) for s, m, n, e in passed]
-    wide = (ONE, 1, ONE / Scalar({12: 1, 0: -1}), ONE)
-    filled = []
-    for s, e, m, n in [(s, e, m, n) for s, m, n in refused
-                       for e in (9, -9)] + [wide]:
-        parts, kept = difference_parts(m, n), {}
-        times_difference(s, e, parts, kept)
-        assert list(kept) == [e]
-        filled.append((s, e, parts, kept))
-    monkeypatch.setattr(scalars, "MAX_GCD_DEGREE", 10)
-    for s, e, parts, kept in filled:
-        for store in ({}, kept):
-            with pytest.raises(ValueError, match="degree 12 is past the"):
-                times_difference(s, e, parts, store)
-    parts = [(difference_parts(m, n), {}) for s, m, n, e in passed]
-    for _ in range(2):
-        assert [times_difference(s, e, *pair) for (s, m, n, e), pair
-                in zip(passed, parts)] == want
 
 
 def test_division_by_a_cyclotomic_factor_undoes_the_product():
