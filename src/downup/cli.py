@@ -9,7 +9,6 @@ status is 0 only when every requested check passed.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 from .bipoly import apply_phi_power
 from .derivations import (CTypeSpec, NonInnerWitness, apply_derivation,
@@ -22,8 +21,7 @@ from .oracle import oracle_normalize_text
 from .presentation import (DownUpPresentation, conformal_residue,
                            gwa_algebra, solve_conformal, translate_to_gwa,
                            witness_support_matches)
-from .scalars import (ParameterError, Scalar, validate_exponents,
-                      validate_param_spec)
+from .scalars import ParameterError, ParamSpec, Scalar, validate_param_spec
 
 
 def _read_config(path):
@@ -99,8 +97,8 @@ def _case_note(b1, b2):
 def cmd_indices(args, options):
     # the index sets are well defined whenever b1 != 0, so this command
     # skips only the s = r^q rejection
-    d, n1, n2 = validate_exponents(*_exponents(options))
-    b1, b2 = Fraction(n1, d), Fraction(n2, d)
+    spec = ParamSpec(*_exponents(options))
+    b1, b2 = spec.b1, spec.b2
     i_set, j_set = index_sets_from_b(b1, b2)
     result = {"I": str(i_set), "J": str(j_set)}
     case = _case_note(b1, b2)
@@ -109,7 +107,7 @@ def cmd_indices(args, options):
     if i_set.is_empty():
         result["note"] = "no solutions"
     doc = {"command": "indices",
-           "inputs": {"d": d, "n1": n1, "n2": n2},
+           "inputs": {"d": spec.d, "n1": spec.n1, "n2": spec.n2},
            "result": result,
            "witnesses": {"b1": str(b1), "b2": str(b2)}}
     lines = ["I = %s" % result["I"], "J = %s" % result["J"]]
@@ -200,17 +198,15 @@ def cmd_inner(args, options):
 
 
 def cmd_verify(args, options):
-    from .suites import SUITES, SuiteContext, run_suites
+    from .suites import POINT_FREE, SuiteContext, run_suites, select
     samples = int(options.get("samples", 200))
     if samples < 1:
         raise ParameterError("samples must be at least 1, got %d" % samples)
-    names = set(args.suites)
+    names = select(args.suites)
     try:
         spec = _spec_from(options)
     except ParameterError:
-        # field and params need no point, and run_suites names an unknown
-        # suite before any runs
-        if names <= {*SUITES, "all"} and not names <= {"field", "params"}:
+        if not set(names) <= POINT_FREE:
             raise
         spec = None
     coeffs = None
@@ -219,7 +215,7 @@ def cmd_verify(args, options):
     ctx = SuiteContext(spec=spec, f_coeffs=coeffs,
                        seed=int(options.get("seed", 0)),
                        samples=samples)
-    results = run_suites(args.suites, ctx)
+    results = run_suites(names, ctx)
     all_ok = all(r.ok for r in results)
     doc = {"command": "verify",
            "inputs": {"suites": args.suites,

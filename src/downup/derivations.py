@@ -55,25 +55,14 @@ class DerivationError(ValueError):
 MAX_INDEX_SET = 100_000
 
 
-class IndexSet:
+class IndexSet(namedtuple("IndexSet", "first modulus last",
+                          defaults=(None,))):
     """Admissible exponents first, first + modulus, ..., up to last, or
     without end when last is None.  The fields are canonical (the empty
     set is (0, 1, -1), a single member has modulus 1), so == is set
     equality."""
 
-    __slots__ = ("first", "modulus", "last")
-
-    def __init__(self, first, modulus, last=None):
-        self.first, self.modulus, self.last = first, modulus, last
-
-    def _key(self):
-        return self.first, self.modulus, self.last
-
-    def __eq__(self, other):
-        return isinstance(other, IndexSet) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    __slots__ = ()
 
     def __contains__(self, t):
         return self.first <= t and (self.last is None or t <= self.last) \

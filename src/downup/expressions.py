@@ -191,35 +191,33 @@ def _eval(node, leaf, mul, scalar_of):
     return out
 
 
-def parse_scalar(text):
-    def leaf(n):
-        # the scalar alphabet has no generators, so a leaf is int or z
-        if n[0] == "int":
-            return Scalar.from_rational(n[1])
-        return Scalar.z_power(n[1])
+def _poly_leaf(n):
+    """An int, z^e, h^e or k^e leaf as a BiPoly."""
+    if n[0] == "int":
+        return BiPoly.const(Scalar.from_rational(n[1]))
+    if n[0] == "z":
+        return BiPoly.const(Scalar.z_power(n[1]))
+    if n[1] == "h":
+        return BiPoly.var_h(n[2])
+    return BiPoly.var_k(n[2])
 
-    return _eval(parse_expression(text, "scalar"), leaf, lambda a, b: a * b,
-                 lambda s: s)
+
+def _poly_scalar(b):
+    if not b.is_const():
+        raise ValueError("division by a non-scalar polynomial")
+    return b.const_value()
+
+
+def parse_scalar(text):
+    # the scalar alphabet has no generators, so every value is constant
+    return _eval(parse_expression(text, "scalar"), _poly_leaf,
+                 lambda a, b: a * b, _poly_scalar).const_value()
 
 
 def parse_bipoly(text):
     """Parse a polynomial in h and k."""
-    def leaf(n):
-        if n[0] == "int":
-            return BiPoly.const(Scalar.from_rational(n[1]))
-        if n[0] == "z":
-            return BiPoly.const(Scalar.z_power(n[1]))
-        if n[1] == "h":
-            return BiPoly.var_h(n[2])
-        return BiPoly.var_k(n[2])
-
-    def scalar_of(b):
-        if not b.is_const():
-            raise ValueError("division by a non-scalar polynomial")
-        return b.const_value()
-
-    return _eval(parse_expression(text, "hk"), leaf, lambda a, b: a * b,
-                 scalar_of)
+    return _eval(parse_expression(text, "hk"), _poly_leaf,
+                 lambda a, b: a * b, _poly_scalar)
 
 
 def parse_element(text, algebra, alphabet="gwa"):
@@ -228,15 +226,9 @@ def parse_element(text, algebra, alphabet="gwa"):
     words = _ALPHABETS[alphabet]
 
     def leaf(n):
-        if n[0] == "int":
-            return from_poly(BiPoly.const(Scalar.from_rational(n[1])))
-        if n[0] == "z":
-            return from_poly(BiPoly.const(Scalar.z_power(n[1])))
-        w = words[n[1]]
-        if w is not None:
-            return basis_word(w * n[2])
-        return from_poly(BiPoly.var_h(n[2]) if n[1] == "h"
-                         else BiPoly.var_k(n[2]))
+        if n[0] == "gen" and words[n[1]] is not None:
+            return basis_word(words[n[1]] * n[2])
+        return from_poly(_poly_leaf(n))
 
     def scalar_of(b):
         if not b.is_poly() or not b.as_poly().is_const():

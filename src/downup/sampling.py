@@ -75,21 +75,16 @@ def random_alpha_spec(rng, spec, w, index_bound=8):
     return coupled_alpha_spec(spec, w, h_coeffs)
 
 
-def random_derivations(rng, spec, g, count, weights=(1, -1, 2, -2, 3, -3)):
-    """A mixed bag of constructed derivations over one parameter point:
-    c-type, alpha-type where the index sets allow, and one combination."""
+def random_derivations(rng, spec, g):
+    """Five constructed derivations over one parameter point: c-type,
+    alpha-type at weights 1, -1 and 2 (c-type where the index sets allow
+    no alpha table), and a combination of the first two."""
     out = [build_c_derivation(spec, random_c_spec(rng))]
-    for w in weights:
-        if len(out) >= count - 1:
-            break
+    for w in (1, -1, 2):
         aspec = random_alpha_spec(rng, spec, w)
-        if aspec is not None:
-            out.append(build_alpha_derivation(spec, g, aspec))
-    while len(out) < count - 1:
-        out.append(build_c_derivation(spec, random_c_spec(rng)))
-    if len(out) >= 2:
-        out.append(combine([(random_scalar(rng, nonzero=True), out[0]),
-                            (random_scalar(rng, nonzero=True), out[1])]))
-    while len(out) < count:
-        out.append(build_c_derivation(spec, random_c_spec(rng)))
-    return out[:count]
+        out.append(build_c_derivation(spec, random_c_spec(rng))
+                   if aspec is None
+                   else build_alpha_derivation(spec, g, aspec))
+    out.append(combine([(random_scalar(rng, nonzero=True), out[0]),
+                        (random_scalar(rng, nonzero=True), out[1])]))
+    return out

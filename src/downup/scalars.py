@@ -497,6 +497,17 @@ class ParamSpec(namedtuple("ParamSpec", "d n1 n2")):
 
     __slots__ = ()
 
+    def __new__(cls, d, n1, n2):
+        # d >= 1, b1 != 0 and mu != 1: all that the index sets need
+        d, n1, n2 = map(operator.index, (d, n1, n2))
+        if d < 1:
+            raise ParameterError("d must be a positive integer")
+        if n1 == 0:
+            raise ParameterError("b1 zero")
+        if n2 == 0:
+            raise ParameterError("mu equals one")
+        return super().__new__(cls, d, n1, n2)
+
     @property
     def b1(self):
         return Fraction(self.n1, self.d)
@@ -522,19 +533,6 @@ class ParamSpec(namedtuple("ParamSpec", "d n1 n2")):
         return Scalar.z_power(-self.n2)
 
 
-def validate_exponents(d, n1, n2):
-    """Check d >= 1, b1 != 0 and mu != 1, all that the index sets need,
-    and return the three exponents as integers."""
-    d, n1, n2 = map(operator.index, (d, n1, n2))
-    if d < 1:
-        raise ParameterError("d must be a positive integer")
-    if n1 == 0:
-        raise ParameterError("b1 zero")
-    if n2 == 0:
-        raise ParameterError("mu equals one")
-    return d, n1, n2
-
-
 def validate_param_spec(d, n1, n2):
     """Check the standing assumptions and return the ParamSpec.
 
@@ -542,8 +540,8 @@ def validate_param_spec(d, n1, n2):
     power of r (b1 not a reciprocal of a positive integer), mu must not
     be 1, and b1 must not vanish.
     """
-    d, n1, n2 = validate_exponents(d, n1, n2)
-    if n1 > 0 and d % n1 == 0:
+    spec = ParamSpec(d, n1, n2)
+    if spec.n1 > 0 and spec.d % spec.n1 == 0:
         raise ParameterError(
-            "b1 is a reciprocal integer (s = r^%d)" % (d // n1))
-    return ParamSpec(d, n1, n2)
+            "b1 is a reciprocal integer (s = r^%d)" % (spec.d // spec.n1))
+    return spec

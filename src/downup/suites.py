@@ -1,7 +1,9 @@
 """Named verification suites behind `downup verify`.
 
-Each suite draws seeded samples, checks exact identities, and reports
-pass/total with a short failure description per miss.
+A suite is one function suite_x(ctx, rng, check), registered once in
+SUITES under its name: it draws samples from rng, a fresh
+Random(ctx.seed), and passes each exact identity to check, which counts
+pass/total and keeps a short description per miss.
 """
 
 from __future__ import annotations
@@ -62,9 +64,7 @@ class SuiteContext:
         return gwa_algebra(self.presentation())
 
 
-def suite_field(ctx):
-    res = SuiteResult("field")
-    rng = random.Random(ctx.seed)
+def suite_field(ctx, rng, check):
     for n in range(ctx.samples):
         a = sampling.random_scalar(rng, with_denominator=True)
         b = sampling.random_scalar(rng, with_denominator=True)
@@ -75,13 +75,11 @@ def suite_field(ctx):
               and a + b == b + a
               and a - a == ZERO
               and c * c.inverse() == ONE)
-        res.check(ok, lambda: "sample %d: (%s, %s, %s)" % (n, a, b, c))
-    return res
+        check(ok, lambda: "sample %d: (%s, %s, %s)" % (n, a, b, c))
 
 
-def suite_params(ctx):
+def suite_params(ctx, rng, check):
     # no accepted point may have s equal to a positive power of r
-    res = SuiteResult("params")
     for d in range(1, 5):
         for n1 in range(-6, 7):
             for n2 in range(-4, 5):
@@ -91,15 +89,12 @@ def suite_params(ctx):
                     continue
                 clash = any(spec.s == Scalar.z_power(spec.n1 * q)
                             for q in range(1, 65))
-                res.check(not clash,
-                          "accepted d=%d n1=%d with s a power of r" % (d, n1))
-    return res
+                check(not clash,
+                      "accepted d=%d n1=%d with s a power of r" % (d, n1))
 
 
-def suite_phi(ctx):
-    res = SuiteResult("phi")
+def suite_phi(ctx, rng, check):
     spec = ctx.require_spec()
-    rng = random.Random(ctx.seed)
     for n in range(ctx.samples):
         p = sampling.random_bipoly(rng)
         q = sampling.random_bipoly(rng)
@@ -107,40 +102,32 @@ def suite_phi(ctx):
         hom = apply_phi_power(spec, p * q, w) == \
             apply_phi_power(spec, p, w) * apply_phi_power(spec, q, w)
         back = apply_phi_power(spec, apply_phi_power(spec, p, w), -w) == p
-        res.check(hom and back, lambda: "sample %d (w=%d)" % (n, w))
-    return res
+        check(hom and back, lambda: "sample %d (w=%d)" % (n, w))
 
 
-def suite_assoc(ctx):
-    res = SuiteResult("assoc")
+def suite_assoc(ctx, rng, check):
     algebra = ctx.algebra()
-    rng = random.Random(ctx.seed)
     for n in range(ctx.samples):
         u = sampling.random_element(rng, max_degree=2, max_terms=2)
         v = sampling.random_element(rng, max_degree=2, max_terms=2)
         t = sampling.random_element(rng, max_degree=2, max_terms=2)
         lhs = gwa_mul(algebra, gwa_mul(algebra, u, v), t)
         rhs = gwa_mul(algebra, u, gwa_mul(algebra, v, t))
-        res.check(lhs == rhs, lambda: "sample %d" % n)
-    return res
+        check(lhs == rhs, lambda: "sample %d" % n)
 
 
-def suite_sigma(ctx):
-    res = SuiteResult("sigma")
+def suite_sigma(ctx, rng, check):
     algebra = ctx.algebra()
-    rng = random.Random(ctx.seed)
     for n in range(ctx.samples):
         u = sampling.random_element(rng, max_degree=2, max_terms=2)
         v = sampling.random_element(rng, max_degree=2, max_terms=2)
         mult = apply_sigma_mu(algebra, gwa_mul(algebra, u, v)) == \
             gwa_mul(algebra, apply_sigma_mu(algebra, u), apply_sigma_mu(algebra, v))
         back = apply_sigma_mu(algebra, apply_sigma_mu(algebra, u), -1) == u
-        res.check(mult and back, lambda: "sample %d" % n)
-    return res
+        check(mult and back, lambda: "sample %d" % n)
 
 
-def suite_oracle(ctx):
-    res = SuiteResult("oracle")
+def suite_oracle(ctx, rng, check):
     algebra = ctx.algebra()
     letters = ("x", "y", "h", "k")
     words = []
@@ -156,8 +143,8 @@ def suite_oracle(ctx):
     for word in words:
         left = oracle_normalize(algebra, [(ONE, word)])
         right = oracle_normalize(algebra, [(ONE, word)], strategy="rightmost")
-        res.check(left == eval_word(word) and left == right,
-                  lambda: "word %s" % "".join(word))
+        check(left == eval_word(word) and left == right,
+              lambda: "word %s" % "".join(word))
     for w1, w2 in product(words, repeat=2):
         if len(w1) + len(w2) > 4:
             continue
@@ -165,22 +152,18 @@ def suite_oracle(ctx):
         split = gwa_mul(algebra,
                         oracle_normalize(algebra, [(ONE, w1)]),
                         oracle_normalize(algebra, [(ONE, w2)]))
-        res.check(direct == split, lambda: "pair %s|%s" % ("".join(w1), "".join(w2)))
-    return res
+        check(direct == split, lambda: "pair %s|%s" % ("".join(w1), "".join(w2)))
 
 
-def suite_conformal(ctx):
-    res = SuiteResult("conformal")
+def suite_conformal(ctx, rng, check):
     spec = ctx.require_spec()
-    rng = random.Random(ctx.seed)
     for n in range(min(ctx.samples, 50)):
         coeffs = sampling.random_f_coefficients(rng)
         pres = DownUpPresentation.from_coefficients(spec, coeffs)
         g = solve_conformal(pres)
         ok = (not conformal_residue(pres, g)
               and witness_support_matches(pres, g))
-        res.check(ok, lambda: "sample %d" % n)
-    return res
+        check(ok, lambda: "sample %d" % n)
 
 
 def enumerate_indices(b1, b2, bound=1000):
@@ -198,16 +181,12 @@ def enumerate_indices(b1, b2, bound=1000):
     return i_hits, j_hits
 
 
-def suite_indices(ctx):
-    res = SuiteResult("indices")
+def suite_indices(ctx, rng, check):
     spec = ctx.require_spec()
     i_set, j_set = index_sets_from_b(spec.b1, spec.b2)
     i_ref, j_ref = enumerate_indices(spec.b1, spec.b2)
-    res.check(i_set.members_up_to(1000) == i_ref,
-              "I disagrees with enumeration")
-    res.check(j_set.members_up_to(1000) == j_ref,
-              "J disagrees with enumeration")
-    return res
+    check(i_set.members_up_to(1000) == i_ref, "I disagrees with enumeration")
+    check(j_set.members_up_to(1000) == j_ref, "J disagrees with enumeration")
 
 
 def leibniz_holds(algebra, deriv, u, v):
@@ -219,45 +198,36 @@ def leibniz_holds(algebra, deriv, u, v):
     return lhs == rhs
 
 
-def suite_leibniz(ctx):
-    res = SuiteResult("leibniz")
+def suite_leibniz(ctx, rng, check):
     algebra = ctx.algebra()
     spec = algebra.spec
-    rng = random.Random(ctx.seed)
-    derivs = sampling.random_derivations(rng, spec, algebra.g, 5)
+    derivs = sampling.random_derivations(rng, spec, algebra.g)
     per = max(1, ctx.samples // len(derivs))
     for idx, deriv in enumerate(derivs):
         for n in range(per):
             u = sampling.random_element(rng, max_degree=2, max_terms=2)
             v = sampling.random_element(rng, max_degree=2, max_terms=2)
-            res.check(leibniz_holds(algebra, deriv, u, v),
-                      lambda: "derivation %d sample %d" % (idx, n))
-    return res
+            check(leibniz_holds(algebra, deriv, u, v),
+                  lambda: "derivation %d sample %d" % (idx, n))
 
 
-def suite_relations(ctx):
-    res = SuiteResult("relations")
+def suite_relations(ctx, rng, check):
     spec = ctx.require_spec()
-    rng = random.Random(ctx.seed)
     for n in range(min(ctx.samples, 25)):
         coeffs = sampling.random_f_coefficients(rng)
         pres = DownUpPresentation.from_coefficients(spec, coeffs)
         for name, residue in relation_residues(pres).items():
-            res.check(not residue, lambda: "%s (sample %d)" % (name, n))
-    return res
+            check(not residue, lambda: "%s (sample %d)" % (name, n))
 
 
-def suite_roundtrip(ctx):
-    res = SuiteResult("roundtrip")
+def suite_roundtrip(ctx, rng, check):
     algebra = ctx.algebra()
-    rng = random.Random(ctx.seed)
     for n in range(ctx.samples):
         u = sampling.random_element(rng, with_denominator=True)
         text = str(u)
         back = parse_element(text, algebra)
-        res.check(back == u and str(back) == text,
-                  lambda: "sample %d: %s" % (n, text))
-    return res
+        check(back == u and str(back) == text,
+              lambda: "sample %d: %s" % (n, text))
 
 
 SUITES = {
@@ -275,13 +245,30 @@ SUITES = {
 }
 
 
-def run_suites(names, ctx):
-    """The named suites' results, "all" alone naming every suite; each
-    name is checked before any suite runs."""
-    if names == ["all"]:
-        names = list(SUITES)
+# the suites that run without a point
+POINT_FREE = {"field", "params"}
+
+
+def select(names):
+    """The suite names to run: "all" alone names every suite, and an
+    unknown name is refused."""
+    if "all" in names:
+        if len(names) > 1:
+            raise ValueError("'all' must be the only suite name")
+        return list(SUITES)
     for name in names:
         if name not in SUITES:
             raise ValueError("unknown suite %r (have: %s)"
                              % (name, ", ".join(sorted(SUITES))))
-    return [SUITES[name](ctx) for name in names]
+    return list(names)
+
+
+def run_suites(names, ctx):
+    """The selected suites' results; each name is checked before any
+    suite runs, and each suite draws from its own Random(ctx.seed)."""
+    results = []
+    for name in select(names):
+        res = SuiteResult(name)
+        SUITES[name](ctx, random.Random(ctx.seed), res.check)
+        results.append(res)
+    return results

@@ -427,11 +427,24 @@ def test_verify_with_parameters(capsys):
 
 
 def test_verify_requires_parameters_when_needed(capsys):
-    # "all" beside another suite is refused only once the point is given
-    for suites in (["phi"], ["all", "field"]):
-        code, out, err = run(capsys, "verify", *suites)
-        assert code == 2
-        assert "missing parameters" in err
+    code, out, err = run(capsys, "verify", "phi")
+    assert code == 2
+    assert "missing parameters" in err
+    # "all" beside another suite is refused before the point is asked for
+    code, out, err = run(capsys, "verify", "all", "field")
+    assert (code, out, err) == (2, "", "error: 'all' must be the only "
+                                      "suite name\n")
+
+
+def test_verify_help_lists_every_suite():
+    from downup.cli import build_parser
+    from downup.suites import SUITES
+
+    # the help is a literal so that build_parser does not import suites
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    suites = next(a for a in commands.choices["verify"]._actions
+                  if a.dest == "suites")
+    assert suites.help == "suite names or 'all' (%s)" % ", ".join(SUITES)
 
 
 def test_config_file(tmp_path, capsys):

@@ -1,9 +1,18 @@
+import hashlib
+import random
+
 import pytest
 
-from downup import SuiteContext, SuiteResult, run_suites
+from downup import (DownUpPresentation, SuiteContext, SuiteResult,
+                    gwa_algebra, run_suites, sampling)
 from downup.suites import SUITES
 
 from support import std_spec
+
+
+# sha256 of the seeded draws in test_seeded_draws_are_pinned
+DRAW_DIGEST = \
+    "04d51d0689ae842f472d9022d8d8e4ef848e71e66845e5409e6dddb061d11674"
 
 
 def ctx_full(samples=20, **kw):
@@ -41,6 +50,11 @@ def test_unknown_suite_is_named():
         run_suites(["units"], ctx_full())
 
 
+def test_all_must_stand_alone():
+    with pytest.raises(ValueError, match="'all' must be the only suite name"):
+        run_suites(["all", "field"], ctx_full())
+
+
 def test_indices_suite_on_negative_slope():
     ctx = SuiteContext(spec=std_spec(1, -2, 3), samples=5)
     res = run_suites(["indices"], ctx)[0]
@@ -62,3 +76,26 @@ def test_seed_changes_samples_not_verdict():
     a = run_suites(["leibniz"], ctx_full(seed=1, samples=10))[0]
     b = run_suites(["leibniz"], ctx_full(seed=2, samples=10))[0]
     assert a.ok and b.ok
+
+
+def test_seeded_draws_are_pinned():
+    # the seeded suites check what these draws return; a digest of them
+    # at fixed seeds and points shows that a change to sampling keeps
+    # every sample and the order of every rng draw
+    out = []
+    # at (3, 2, 1) the h index set is {0}, so no alpha table is drawn
+    for (d, n1, n2), f in (((1, 3, 2), [0, 1]), ((2, 3, 5), [0, 1]),
+                           ((1, -2, 3), [1, 0, 1]), ((3, 2, 1), [0, 1])):
+        spec = std_spec(d, n1, n2)
+        algebra = gwa_algebra(DownUpPresentation.from_coefficients(spec, f))
+        for seed in (0, 7, 46):
+            rng = random.Random(seed)
+            for deriv in sampling.random_derivations(rng, spec, algebra.g):
+                out.append("%s|%s|%s" % (deriv.weights(), deriv.c0, deriv.b))
+            out.append(str(sampling.random_element(
+                rng, max_degree=2, max_terms=2)))
+            out.append(str(sampling.random_element(rng, with_denominator=True)))
+            out.extend(map(str, sampling.random_f_coefficients(rng)))
+            out.append(str(rng.getrandbits(32)))
+    digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+    assert digest == DRAW_DIGEST
