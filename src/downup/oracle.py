@@ -83,14 +83,14 @@ def oracle_normalize(algebra, terms, strategy="leftmost"):
             stack.extend(_rewrite(algebra, coeff, exp, letters, t))
             continue
         # normal words are h,k powers followed by a run of x or of y
-        i = sum(1 for ch in letters if ch == "h")
-        j = sum(1 for ch in letters if ch == "k")
-        m = sum(1 for ch in letters if ch == "x")
-        n = sum(1 for ch in letters if ch == "y")
+        m, n = letters.count("x"), letters.count("y")
         assert m == 0 or n == 0
-        _add_into(acc.setdefault(m - n, {}), (i, j),
+        _add_into(acc.setdefault(m - n, {}),
+                  (letters.count("h"), letters.count("k")),
                   coeff * Scalar.z_power(exp))
-    return GwaElement({w: BiPoly(bucket) for w, bucket in acc.items()})
+    # each bucket holds only nonzero scalars; one that cancelled is dropped
+    return GwaElement._raw({w: BiPoly._raw(bucket)
+                            for w, bucket in acc.items() if bucket})
 
 
 def free_expand(node):

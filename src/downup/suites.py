@@ -250,8 +250,8 @@ POINT_FREE = {"field", "params"}
 
 
 def select(names):
-    """The suite names to run: "all" alone names every suite, and an
-    unknown name is refused."""
+    """The suite names to run, each once in first-occurrence order: "all"
+    alone names every suite, and an unknown name is refused."""
     if "all" in names:
         if len(names) > 1:
             raise ValueError("'all' must be the only suite name")
@@ -260,7 +260,7 @@ def select(names):
         if name not in SUITES:
             raise ValueError("unknown suite %r (have: %s)"
                              % (name, ", ".join(sorted(SUITES))))
-    return list(names)
+    return list(dict.fromkeys(names))
 
 
 def run_suites(names, ctx):

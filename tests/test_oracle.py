@@ -50,6 +50,12 @@ def test_free_word_terms_and_cancellation():
     one = Scalar.from_rational(1)
     terms = [(one, ("x", "y")), (-one, ("x", "y"))]
     assert oracle_normalize(A, terms) == GwaElement()
+    # a weight whose bucket cancels leaves no empty component behind
+    for strategy in ("leftmost", "rightmost"):
+        got = oracle_normalize(A, [(1, "xy"), (-1, "xy"), (1, "kx")],
+                               strategy=strategy)
+        assert list(got.terms) == [1]
+        assert got == GwaElement({1: K})
 
 
 def test_length_bound():

@@ -50,6 +50,12 @@ def test_unknown_suite_is_named():
         run_suites(["units"], ctx_full())
 
 
+def test_repeated_suite_name_runs_once():
+    results = run_suites(["field", "phi", "field"], ctx_full(samples=5))
+    assert [r.name for r in results] == ["field", "phi"]
+    assert results[0].total == 5
+
+
 def test_all_must_stand_alone():
     with pytest.raises(ValueError, match="'all' must be the only suite name"):
         run_suites(["all", "field"], ctx_full())
