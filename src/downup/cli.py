@@ -56,6 +56,9 @@ def _merged_options(args):
     if merged.get("format", "human") not in ("human", "structured"):
         raise ValueError("format must be human or structured, got %r"
                          % merged["format"])
+    for key in ("d", "n1", "n2", "seed", "samples"):
+        if key in merged:
+            merged[key] = int(merged[key])
     return merged
 
 
@@ -63,11 +66,7 @@ def _exponents(options):
     missing = [key for key in ("d", "n1", "n2") if key not in options]
     if missing:
         raise ParameterError("missing parameters: %s" % ", ".join(missing))
-    return int(options["d"]), int(options["n1"]), int(options["n2"])
-
-
-def _spec_from(options):
-    return validate_param_spec(*_exponents(options))
+    return options["d"], options["n1"], options["n2"]
 
 
 def _f_coefficients(options):
@@ -78,10 +77,9 @@ def _f_coefficients(options):
 
 def _presentation(options):
     """The presentation at the requested point, and the inputs to echo."""
-    spec = _spec_from(options)
+    spec = validate_param_spec(*_exponents(options))
     coeffs = _f_coefficients(options)
-    inputs = {"d": spec.d, "n1": spec.n1, "n2": spec.n2,
-              "f": ", ".join(str(c) for c in coeffs)}
+    inputs = dict(spec._asdict(), f=", ".join(str(c) for c in coeffs))
     return DownUpPresentation.from_coefficients(spec, coeffs), inputs
 
 
@@ -106,8 +104,7 @@ def cmd_indices(args, options):
         result["case"] = case
     if i_set.is_empty():
         result["note"] = "no solutions"
-    doc = {"command": "indices",
-           "inputs": {"d": spec.d, "n1": spec.n1, "n2": spec.n2},
+    doc = {"inputs": spec._asdict(),
            "result": result,
            "witnesses": {"b1": str(b1), "b2": str(b2)}}
     lines = ["I = %s" % result["I"], "J = %s" % result["J"]]
@@ -121,8 +118,7 @@ def cmd_conformal(args, options):
     g = solve_conformal(pres)
     residue = conformal_residue(pres, g)
     ok = not residue and witness_support_matches(pres, g)
-    doc = {"command": "conformal",
-           "inputs": inputs,
+    doc = {"inputs": inputs,
            "result": {"g": str(g)},
            "witnesses": {"back_substitution": str(residue),
                          "support_matches": ok}}
@@ -143,8 +139,7 @@ def cmd_mul(args, options):
         pass    # beyond the oracle's reach: the cross-check steps aside
     else:
         witnesses["oracle_agrees"] = oracle_view == result
-    doc = {"command": "mul",
-           "inputs": dict(inputs, lhs=args.lhs, rhs=args.rhs),
+    doc = {"inputs": dict(inputs, lhs=args.lhs, rhs=args.rhs),
            "result": str(result),
            "witnesses": witnesses}
     code = 0 if witnesses.get("oracle_agrees", True) else 1
@@ -154,8 +149,7 @@ def cmd_mul(args, options):
 def cmd_translate(args, options):
     pres, inputs = _presentation(options)
     result = translate_to_gwa(pres, args.expr)
-    doc = {"command": "translate",
-           "inputs": dict(inputs, expr=args.expr),
+    doc = {"inputs": dict(inputs, expr=args.expr),
            "result": str(result),
            "witnesses": {"alphabet": "du"}}
     return doc, [str(result)], 0
@@ -171,20 +165,17 @@ def cmd_derive(args, options):
         deriv = build_alpha_derivation(pres.spec, algebra.g, dspec)
     target = parse_element(args.expr, algebra)
     result = apply_derivation(algebra, deriv, target)
-    doc = {"command": "derive",
-           "inputs": dict(inputs, derivation=args.derivation, expr=args.expr),
+    doc = {"inputs": dict(inputs, derivation=args.derivation, expr=args.expr),
            "result": str(result),
            "witnesses": {"weights": deriv.weights()}}
     return doc, [str(result)], 0
 
 
 def cmd_inner(args, options):
-    spec = _spec_from(options)
+    spec = validate_param_spec(*_exponents(options))
     c0 = CTypeSpec(parse_bipoly(args.c0))
     solved = solve_inner(spec, c0)
-    doc = {"command": "inner",
-           "inputs": {"d": spec.d, "n1": spec.n1, "n2": spec.n2,
-                      "c0": args.c0}}
+    doc = {"inputs": dict(spec._asdict(), c0=args.c0)}
     if isinstance(solved, NonInnerWitness):
         message = "non-inner at (%d, %d)" % (solved.beta, solved.gamma)
         doc.update(result=message,
@@ -199,34 +190,30 @@ def cmd_inner(args, options):
 
 def cmd_verify(args, options):
     from .suites import POINT_FREE, SuiteContext, run_suites, select
-    samples = int(options.get("samples", 200))
+    samples, seed = options.get("samples", 200), options.get("seed", 0)
     if samples < 1:
         raise ParameterError("samples must be at least 1, got %d" % samples)
     names = select(args.suites)
-    try:
-        spec = _spec_from(options)
-    except ParameterError:
-        if not set(names) <= POINT_FREE:
-            raise
-        spec = None
-    coeffs = None
+    inputs = {"suites": args.suites, "seed": seed, "samples": samples}
+    spec = algebra = None
+    # a point wholly absent is accepted only for the point-free suites
+    if not options.keys().isdisjoint(("d", "n1", "n2")) \
+            or not POINT_FREE.issuperset(names):
+        spec = validate_param_spec(*_exponents(options))
+        inputs.update(spec._asdict())
     if "f" in options:
         coeffs = _f_coefficients(options)
-    ctx = SuiteContext(spec=spec, f_coeffs=coeffs,
-                       seed=int(options.get("seed", 0)),
-                       samples=samples)
-    results = run_suites(names, ctx)
+        if spec is not None:
+            algebra = gwa_algebra(
+                DownUpPresentation.from_coefficients(spec, coeffs))
+    results = run_suites(names, SuiteContext(spec, algebra, seed, samples))
     all_ok = all(r.ok for r in results)
-    doc = {"command": "verify",
-           "inputs": {"suites": args.suites,
-                      "seed": ctx.seed, "samples": ctx.samples},
+    doc = {"inputs": inputs,
            "result": {"passed": sum(r.passed for r in results),
                       "total": sum(r.total for r in results)},
            "witnesses": {r.name: {"passed": r.passed, "total": r.total,
                                   "failures": r.failures}
                          for r in results}}
-    if spec is not None:
-        doc["inputs"].update(d=spec.d, n1=spec.n1, n2=spec.n2)
     lines = ["%s: %d/%d%s" % (r.name, r.passed, r.total,
                               "" if r.ok else "  FAIL")
              for r in results]
@@ -252,27 +239,36 @@ def build_parser():
                         help="output format (default human)")
     parser.add_argument("--config", help="key=value file with the same keys")
 
+    # each command's handler is its parser's default for "run"
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("indices", help="index sets I and J of the parameter point")
-    sub.add_parser("conformal", help="solve f(X) = s*g(X) - g(r*X)")
+    p = sub.add_parser("indices",
+                       help="index sets I and J of the parameter point")
+    p.set_defaults(run=cmd_indices)
+    p = sub.add_parser("conformal", help="solve f(X) = s*g(X) - g(r*X)")
+    p.set_defaults(run=cmd_conformal)
 
     p = sub.add_parser("mul", help="multiply two expressions in x, y, h, k")
+    p.set_defaults(run=cmd_mul)
     p.add_argument("lhs")
     p.add_argument("rhs")
 
     p = sub.add_parser("translate",
                        help="normal form of a d, u, h expression")
+    p.set_defaults(run=cmd_translate)
     p.add_argument("expr")
 
     p = sub.add_parser("derive", help="apply a derivation to an expression")
+    p.set_defaults(run=cmd_derive)
     p.add_argument("--derivation", required=True,
                    help="'c0 = ...' or 'w = ...; alpha_h = {...}; alpha_k = {...}'")
     p.add_argument("expr")
 
     p = sub.add_parser("inner", help="solve the inner equation for c0")
+    p.set_defaults(run=cmd_inner)
     p.add_argument("--c0", required=True, help="polynomial in h and k")
 
     p = sub.add_parser("verify", help="run verification suites")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("suites", nargs="+",
                    help="suite names or 'all' (field, params, phi, assoc, "
                         "sigma, oracle, conformal, indices, leibniz, "
@@ -280,30 +276,19 @@ def build_parser():
     return parser
 
 
-_COMMANDS = {
-    "indices": cmd_indices,
-    "conformal": cmd_conformal,
-    "mul": cmd_mul,
-    "translate": cmd_translate,
-    "derive": cmd_derive,
-    "inner": cmd_inner,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         options = _merged_options(args)
-        doc, lines, code = _COMMANDS[args.command](args, options)
+        doc, lines, code = args.run(args, options)
     except (ValueError, OSError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if options.get("format") == "structured":
         import json
 
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(dict(doc, command=args.command), indent=2,
+                         sort_keys=True))
     else:
         for line in lines:
             print(line)

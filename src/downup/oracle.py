@@ -158,10 +158,10 @@ def _free_mul(a, b):
     return out
 
 
-def oracle_normalize_text(algebra, text, strategy="leftmost"):
+def oracle_normalize_text(algebra, text):
     """Parse, expand freely, then rewrite to normal form."""
     from .expressions import parse_expression
 
     tree = parse_expression(text, "gwa")
     terms = [(c, word) for word, c in free_expand(tree).items()]
-    return oracle_normalize(algebra, terms, strategy)
+    return oracle_normalize(algebra, terms)

@@ -9,6 +9,7 @@ pass/total and keeps a short description per miss.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -16,9 +17,9 @@ from . import sampling
 from .bipoly import apply_phi_power
 from .derivations import apply_derivation, index_sets_from_b
 from .expressions import parse_element
-from .gwa import apply_sigma_mu, basis_word, gwa_mul
+from .gwa import apply_sigma_mu, gwa_mul
 from .oracle import oracle_normalize
-from .presentation import (DownUpPresentation, conformal_residue, gwa_algebra,
+from .presentation import (DownUpPresentation, conformal_residue,
                            relation_residues, solve_conformal,
                            witness_support_matches)
 from .scalars import ONE, ZERO, Scalar, validate_param_spec
@@ -42,26 +43,10 @@ class SuiteResult:
         return self.passed == self.total
 
 
-class SuiteContext:
-    def __init__(self, spec=None, f_coeffs=None, seed=0, samples=200):
-        self.spec = spec
-        self.f_coeffs = f_coeffs
-        self.seed = seed
-        self.samples = samples
-
-    def require_spec(self):
-        if self.spec is None:
-            raise ValueError("missing parameters: d, n1, n2")
-        return self.spec
-
-    def presentation(self):
-        if self.f_coeffs is None:
-            raise ValueError("missing f")
-        return DownUpPresentation.from_coefficients(
-            self.require_spec(), self.f_coeffs)
-
-    def algebra(self):
-        return gwa_algebra(self.presentation())
+# what a run needs, resolved before any suite runs: spec is None for a
+# point-free run, algebra is None when no f was given
+SuiteContext = namedtuple("SuiteContext", "spec algebra seed samples",
+                          defaults=(None, None, 0, 200))
 
 
 def suite_field(ctx, rng, check):
@@ -94,7 +79,7 @@ def suite_params(ctx, rng, check):
 
 
 def suite_phi(ctx, rng, check):
-    spec = ctx.require_spec()
+    spec = ctx.spec
     for n in range(ctx.samples):
         p = sampling.random_bipoly(rng)
         q = sampling.random_bipoly(rng)
@@ -106,7 +91,7 @@ def suite_phi(ctx, rng, check):
 
 
 def suite_assoc(ctx, rng, check):
-    algebra = ctx.algebra()
+    algebra = ctx.algebra
     for n in range(ctx.samples):
         u = sampling.random_element(rng, max_degree=2, max_terms=2)
         v = sampling.random_element(rng, max_degree=2, max_terms=2)
@@ -117,7 +102,7 @@ def suite_assoc(ctx, rng, check):
 
 
 def suite_sigma(ctx, rng, check):
-    algebra = ctx.algebra()
+    algebra = ctx.algebra
     for n in range(ctx.samples):
         u = sampling.random_element(rng, max_degree=2, max_terms=2)
         v = sampling.random_element(rng, max_degree=2, max_terms=2)
@@ -128,22 +113,16 @@ def suite_sigma(ctx, rng, check):
 
 
 def suite_oracle(ctx, rng, check):
-    algebra = ctx.algebra()
+    algebra = ctx.algebra
     letters = ("x", "y", "h", "k")
     words = []
     for length in range(1, 5):
         words.extend(product(letters, repeat=length))
 
-    def eval_word(word):
-        out = basis_word(0)
-        for ch in word:
-            out = gwa_mul(algebra, out, parse_element(ch, algebra))
-        return out
-
     for word in words:
         left = oracle_normalize(algebra, [(ONE, word)])
         right = oracle_normalize(algebra, [(ONE, word)], strategy="rightmost")
-        check(left == eval_word(word) and left == right,
+        check(left == parse_element("*".join(word), algebra) and left == right,
               lambda: "word %s" % "".join(word))
     for w1, w2 in product(words, repeat=2):
         if len(w1) + len(w2) > 4:
@@ -156,7 +135,7 @@ def suite_oracle(ctx, rng, check):
 
 
 def suite_conformal(ctx, rng, check):
-    spec = ctx.require_spec()
+    spec = ctx.spec
     for n in range(min(ctx.samples, 50)):
         coeffs = sampling.random_f_coefficients(rng)
         pres = DownUpPresentation.from_coefficients(spec, coeffs)
@@ -182,7 +161,7 @@ def enumerate_indices(b1, b2, bound=1000):
 
 
 def suite_indices(ctx, rng, check):
-    spec = ctx.require_spec()
+    spec = ctx.spec
     i_set, j_set = index_sets_from_b(spec.b1, spec.b2)
     i_ref, j_ref = enumerate_indices(spec.b1, spec.b2)
     check(i_set.members_up_to(1000) == i_ref, "I disagrees with enumeration")
@@ -199,9 +178,8 @@ def leibniz_holds(algebra, deriv, u, v):
 
 
 def suite_leibniz(ctx, rng, check):
-    algebra = ctx.algebra()
-    spec = algebra.spec
-    derivs = sampling.random_derivations(rng, spec, algebra.g)
+    algebra = ctx.algebra
+    derivs = sampling.random_derivations(rng, algebra.spec, algebra.g)
     per = max(1, ctx.samples // len(derivs))
     for idx, deriv in enumerate(derivs):
         for n in range(per):
@@ -212,7 +190,7 @@ def suite_leibniz(ctx, rng, check):
 
 
 def suite_relations(ctx, rng, check):
-    spec = ctx.require_spec()
+    spec = ctx.spec
     for n in range(min(ctx.samples, 25)):
         coeffs = sampling.random_f_coefficients(rng)
         pres = DownUpPresentation.from_coefficients(spec, coeffs)
@@ -221,7 +199,7 @@ def suite_relations(ctx, rng, check):
 
 
 def suite_roundtrip(ctx, rng, check):
-    algebra = ctx.algebra()
+    algebra = ctx.algebra
     for n in range(ctx.samples):
         u = sampling.random_element(rng, with_denominator=True)
         text = str(u)
@@ -245,8 +223,9 @@ SUITES = {
 }
 
 
-# the suites that run without a point
+# the suites that run without a point, and those that also need f
 POINT_FREE = {"field", "params"}
+NEEDS_F = {"assoc", "sigma", "oracle", "leibniz", "roundtrip"}
 
 
 def select(names):
@@ -264,10 +243,16 @@ def select(names):
 
 
 def run_suites(names, ctx):
-    """The selected suites' results; each name is checked before any
-    suite runs, and each suite draws from its own Random(ctx.seed)."""
+    """The selected suites' results; each name, and the point and f the
+    names need, is checked before any suite runs, and each suite draws
+    from its own Random(ctx.seed)."""
+    names = select(names)
+    if ctx.spec is None and not POINT_FREE.issuperset(names):
+        raise ValueError("missing parameters: d, n1, n2")
+    if ctx.algebra is None and not NEEDS_F.isdisjoint(names):
+        raise ValueError("missing f (coefficient list, e.g. --f 0,1)")
     results = []
-    for name in select(names):
+    for name in names:
         res = SuiteResult(name)
         SUITES[name](ctx, random.Random(ctx.seed), res.check)
         results.append(res)

@@ -436,6 +436,35 @@ def test_verify_requires_parameters_when_needed(capsys):
                                       "suite name\n")
 
 
+def test_verify_refuses_missing_f_before_any_suite(capsys):
+    code, out, err = run(capsys, "--d", "1", "--n1", "3", "--n2", "2",
+                         "verify", "all")
+    assert (code, out) == (2, "")
+    assert err == "error: missing f (coefficient list, e.g. --f 0,1)\n"
+
+
+@pytest.mark.parametrize("point, message", [
+    (["--d", "1", "--n1", "1", "--n2", "2"], "b1 is a reciprocal integer"),
+    (["--d", "1"], "missing parameters: n1, n2"),
+], ids=["invalid", "partial"])
+def test_verify_validates_any_point_it_is_given(capsys, point, message):
+    # the point-free suites accept a point that is wholly absent, but a
+    # point that is given is checked whole
+    for suites in (["field"], ["params", "field"]):
+        code, out, err = run(capsys, *point, "verify", *suites)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: %s" % message)
+        assert err.count("\n") == 1
+
+
+def test_every_command_has_a_handler():
+    from downup.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    for name, parser in commands.choices.items():
+        assert callable(parser.get_default("run")), name
+
+
 def test_verify_help_lists_every_suite():
     from downup.cli import build_parser
     from downup.suites import SUITES
@@ -491,6 +520,19 @@ def test_config_exponent_must_be_an_integer(tmp_path, capsys, value):
     code, out, err = run(capsys, "--config", str(cfg), "indices")
     assert (code, out) == (2, "")
     assert err == "error: invalid literal for int() with base 10: %r\n" % value
+
+
+@pytest.mark.parametrize("key", ["seed", "samples"])
+@pytest.mark.parametrize("argv", [["indices"], ["--f", "0,1", "conformal"],
+                                  ["verify", "field"]],
+                         ids=["indices", "conformal", "verify"])
+def test_config_integers_are_typed_for_every_command(tmp_path, capsys, key,
+                                                     argv):
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text("d = 1\nn1 = 3\nn2 = 2\n%s = abc\n" % key)
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: invalid literal for int() with base 10: 'abc'\n"
 
 
 def test_error_reporting(capsys):

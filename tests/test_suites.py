@@ -7,7 +7,7 @@ from downup import (DownUpPresentation, SuiteContext, SuiteResult,
                     gwa_algebra, run_suites, sampling)
 from downup.suites import SUITES
 
-from support import std_spec
+from support import std_algebra, std_spec
 
 
 # sha256 of the seeded draws in test_seeded_draws_are_pinned
@@ -16,8 +16,7 @@ DRAW_DIGEST = \
 
 
 def ctx_full(samples=20, **kw):
-    return SuiteContext(spec=std_spec(), f_coeffs=[0, 1],
-                        samples=samples, **kw)
+    return SuiteContext(std_spec(), std_algebra(), samples=samples, **kw)
 
 
 def test_every_suite_passes():
@@ -41,8 +40,23 @@ def test_spec_free_suites_need_no_parameters():
 def test_missing_parameters_are_reported():
     with pytest.raises(ValueError, match="missing parameters: d, n1, n2"):
         run_suites(["phi"], SuiteContext(samples=5))
-    with pytest.raises(ValueError, match="missing f"):
+    with pytest.raises(ValueError, match=r"missing f \(coefficient list, "
+                                         r"e\.g\. --f 0,1\)"):
         run_suites(["assoc"], SuiteContext(spec=std_spec(), samples=5))
+
+
+@pytest.mark.parametrize("ctx, message", [
+    (SuiteContext(std_spec(), samples=5),
+     r"missing f \(coefficient list, e\.g\. --f 0,1\)"),
+    (SuiteContext(samples=5), "missing parameters: d, n1, n2"),
+], ids=["missing-f", "missing-point"])
+def test_missing_inputs_are_refused_before_any_suite_runs(monkeypatch, ctx,
+                                                          message):
+    calls = []
+    monkeypatch.setitem(SUITES, "field", lambda *a: calls.append("field"))
+    with pytest.raises(ValueError, match=message):
+        run_suites(["field", "assoc"], ctx)
+    assert calls == []
 
 
 def test_unknown_suite_is_named():
