@@ -32,11 +32,7 @@ def _is_redex(a, b):
 
 def _find_redex(letters, strategy):
     span = range(len(letters) - 1)
-    if strategy == "rightmost":
-        span = reversed(span)
-    elif strategy != "leftmost":
-        raise ValueError("unknown strategy %r" % (strategy,))
-    for t in span:
+    for t in reversed(span) if strategy == "rightmost" else span:
         if _is_redex(letters[t], letters[t + 1]):
             return t
     return None
@@ -61,8 +57,10 @@ def oracle_normalize(algebra, terms, strategy="leftmost"):
     """Rewrite a combination of free words to a GwaElement.
 
     Takes (coeff, letters) pairs.  Words longer than MAX_LENGTH are
-    refused up front.
+    refused up front, as is a strategy other than leftmost or rightmost.
     """
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError("unknown strategy %r" % (strategy,))
     stack = []
     for coeff, letters in terms:
         coeff = _to_scalar(coeff)

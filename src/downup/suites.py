@@ -3,7 +3,9 @@
 A suite is one function suite_x(ctx, rng, check), registered once in
 SUITES under its name: it draws samples from rng, a fresh
 Random(ctx.seed), and passes each exact identity to check, which counts
-pass/total and keeps a short description per miss.
+pass/total and keeps a short description per miss.  A suite may also
+take keyword parameters with defaults, which `verify` never sets:
+suite_oracle's `longest` serves the acceptance test's full grid.
 """
 
 from __future__ import annotations
@@ -112,26 +114,24 @@ def suite_sigma(ctx, rng, check):
         check(mult and back, lambda: "sample %d" % n)
 
 
-def suite_oracle(ctx, rng, check):
-    algebra = ctx.algebra
-    letters = ("x", "y", "h", "k")
-    words = []
-    for length in range(1, 5):
-        words.extend(product(letters, repeat=length))
-
-    for word in words:
-        left = oracle_normalize(algebra, [(ONE, word)])
-        right = oracle_normalize(algebra, [(ONE, word)], strategy="rightmost")
-        check(left == parse_element("*".join(word), algebra) and left == right,
-              lambda: "word %s" % "".join(word))
-    for w1, w2 in product(words, repeat=2):
-        if len(w1) + len(w2) > 4:
-            continue
-        direct = oracle_normalize(algebra, [(ONE, w1 + w2)])
-        split = gwa_mul(algebra,
-                        oracle_normalize(algebra, [(ONE, w1)]),
-                        oracle_normalize(algebra, [(ONE, w2)]))
-        check(direct == split, lambda: "pair %s|%s" % ("".join(w1), "".join(w2)))
+def suite_oracle(ctx, rng, check, longest=4):
+    # each word of length <= longest (at most 8) is rewritten once and
+    # checked against gwa_mul at its splits into two words of length <= 4;
+    # those are also rewritten rightmost, parsed, and kept for the splits
+    algebra, kept = ctx.algebra, {}
+    for length in range(1, longest + 1):
+        for word in product("xyhk", repeat=length):
+            direct = oracle_normalize(algebra, [(ONE, word)])
+            if length <= 4:
+                right = oracle_normalize(algebra, [(ONE, word)],
+                                         strategy="rightmost")
+                check(direct == parse_element("*".join(word), algebra)
+                      and direct == right, lambda: "word %s" % "".join(word))
+                kept[word] = direct
+            for cut in range(max(1, length - 4), min(4, length - 1) + 1):
+                u, v = word[:cut], word[cut:]
+                check(direct == gwa_mul(algebra, kept[u], kept[v]),
+                      lambda: "pair %s|%s" % ("".join(u), "".join(v)))
 
 
 def suite_conformal(ctx, rng, check):

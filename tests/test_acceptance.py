@@ -7,16 +7,16 @@ tolerances anywhere.
 
 import random
 from fractions import Fraction
-from itertools import product
 
 from downup import (BiPoly, CTypeSpec, DownUpPresentation, GwaAlgebra,
                     GwaElement, IndexSet, NonInnerWitness, Scalar,
                     apply_derivation, basis_word, build_alpha_derivation,
                     build_c_derivation, conformal_residue, coupled_alpha_spec,
-                    from_poly, gwa_mul, index_sets_from_b, oracle_normalize,
-                    solve_conformal, solve_inner, translate_to_gwa,
-                    twisted_commutator, witness_support_matches)
+                    from_poly, gwa_mul, index_sets_from_b, solve_conformal,
+                    solve_inner, translate_to_gwa, twisted_commutator,
+                    witness_support_matches)
 from downup.sampling import random_element, random_f_coefficients
+from downup.suites import SuiteContext, SuiteResult, suite_oracle
 
 from support import (enumerate_indices, inner_system_solvable, leibniz_holds,
                      random_param_spec, std_spec)
@@ -113,22 +113,11 @@ def test_criterion_3_leibniz_suite():
 
 def test_criterion_4_oracle_equivalence():
     A = fixed_algebra()
-    words = []
-    for n in range(1, 5):
-        words.extend(product("xyhk", repeat=n))
-    norms = {w: oracle_normalize(A, [(ONE, w)]) for w in words}
-    # every product of two length <= 4 words, grouped by concatenation
-    # so each free word is rewritten once
-    for length in range(2, 9):
-        for joined in product("xyhk", repeat=length):
-            splits = [cut for cut in range(1, length)
-                      if cut <= 4 and length - cut <= 4]
-            if not splits:
-                continue
-            direct = oracle_normalize(A, [(ONE, joined)])
-            for cut in splits:
-                u, v = joined[:cut], joined[cut:]
-                assert direct == gwa_mul(A, norms[u], norms[v]), (u, v)
+    # `verify oracle`'s loop on its full grid: the 340 words of length <= 4
+    # and every product of two, grouped so each joined word is rewritten once
+    result = SuiteResult("oracle")
+    suite_oracle(SuiteContext(algebra=A), None, result.check, longest=8)
+    assert (result.passed, result.total) == (115940, 115940), result.failures
     rng = random.Random(302)
     for _ in range(200):
         u = random_element(rng, max_weight=2, max_degree=2, max_terms=2)

@@ -69,8 +69,10 @@ def test_length_bound():
         free_expand(parse_expression("x^4*x^5 - x^5*x^4", "gwa"))
     with pytest.raises(ValueError, match="unknown letter"):
         oracle_normalize(A, [(1, "xq")])
-    with pytest.raises(ValueError, match="unknown strategy"):
-        oracle_normalize(A, [(1, "xy")], strategy="innermost")
+    # refused before any word is read, even when none reaches a redex scan
+    for terms in ([(1, "xy")], [], [(0, "xy")]):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            oracle_normalize(A, terms, strategy="innermost")
 
 
 def test_strategies_are_confluent():

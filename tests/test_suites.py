@@ -4,7 +4,7 @@ import random
 import pytest
 
 from downup import (DownUpPresentation, SuiteContext, SuiteResult,
-                    gwa_algebra, run_suites, sampling)
+                    gwa_algebra, run_suites, sampling, suites)
 from downup.suites import SUITES
 
 from support import std_algebra, std_spec
@@ -90,6 +90,16 @@ def test_failure_capture_is_capped():
     assert len(res.failures) == 10
     res.check(True, "hit")
     assert res.passed == 1
+
+
+def test_oracle_rewrites_each_short_word_once_per_strategy(monkeypatch):
+    # the 340 words of length <= 4, once per strategy, and no word again
+    calls = []
+    rewrite = suites.oracle_normalize
+    monkeypatch.setattr(suites, "oracle_normalize",
+                        lambda *a, **kw: calls.append(1) or rewrite(*a, **kw))
+    assert run_suites(["oracle"], ctx_full())[0].total == 1252
+    assert len(calls) == 680
 
 
 def test_seed_changes_samples_not_verdict():
